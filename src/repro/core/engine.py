@@ -37,6 +37,7 @@ from repro.core.edgeset import BaseEdges, EdgeSet
 from repro.core.subset import VertexSubset
 from repro.core.vertex import RESERVED_ATTRIBUTES, VertexView, WorkingView
 from repro.errors import FlashUsageError
+from repro.graph.blocks import BlockGraph
 from repro.graph.graph import Graph
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.costmodel import CostBreakdown, CostModel
@@ -143,8 +144,13 @@ class FlashEngine:
         if backend is None:
             backend = default_backend()
         self.backend = validate_backend(backend)
-        self._vectorize = backend in ("vectorized", "auto")
+        self._vectorize = backend == "vectorized"
         self._oocore = backend == "oocore"
+        if self._vectorize and isinstance(graph, BlockGraph):
+            raise FlashUsageError(
+                "backend='vectorized' needs a resident graph; a BlockGraph "
+                "lives on disk — use backend='oocore' to stream its blocks"
+            )
         # Columnar backends share typed state and spec-driven dispatch;
         # they differ only in where the arcs live (RAM vs block shards).
         self._columnar = self._vectorize or self._oocore
@@ -386,6 +392,23 @@ class FlashEngine:
         if _plan.capturing():
             _plan.note_engine(self)
 
+    def _run_columnar(self, kernel: str, spec_origin, *args) -> VertexSubset:
+        """Run one superstep on the columnar kernel ``kernel``.  The name
+        is looked up on the oocore or vectorized kernel module at call
+        time, so each backend's entry points can be wrapped on their own."""
+        fw = self.flashware
+        name = "oocore" if self._oocore else "vectorized"
+        self.metrics.note_backend(name)
+        fw.annotate_span(backend=name)
+        if spec_origin == "synthesized":
+            fw.annotate_span(spec="synthesized")
+        runner = getattr(_ooc if self._oocore else _vec, kernel)
+        try:
+            return runner(self, *args)
+        except Exception:
+            fw.abort_superstep()
+            raise
+
     # ------------------------------------------------------------------
     # SIZE
     # ------------------------------------------------------------------
@@ -429,17 +452,7 @@ class FlashEngine:
         )
         self._note_plan("vertex_map", label, spec_origin, spec, use_col)
         if use_col:
-            name = "oocore" if self._oocore else "vectorized"
-            self.metrics.note_backend(name)
-            fw.annotate_span(backend=name)
-            if spec_origin == "synthesized":
-                fw.annotate_span(spec="synthesized")
-            runner = _ooc.run_vertex_map if self._oocore else _vec.run_vertex_map
-            try:
-                return runner(self, subset, F, M, spec)
-            except Exception:
-                fw.abort_superstep()
-                raise
+            return self._run_columnar("run_vertex_map", spec_origin, subset, F, M, spec)
         self.metrics.note_backend("interp")
         fw.annotate_span(backend="interp")
         if self._dist is not None:
@@ -559,19 +572,7 @@ class FlashEngine:
         )
         self._note_plan("edge_map_dense", label, spec_origin, spec, use_col)
         if use_col:
-            name = "oocore" if self._oocore else "vectorized"
-            self.metrics.note_backend(name)
-            fw.annotate_span(backend=name)
-            if spec_origin == "synthesized":
-                fw.annotate_span(spec="synthesized")
-            runner = (
-                _ooc.run_edge_map_dense if self._oocore else _vec.run_edge_map_dense
-            )
-            try:
-                return runner(self, subset, spec)
-            except Exception:
-                fw.abort_superstep()
-                raise
+            return self._run_columnar("run_edge_map_dense", spec_origin, subset, spec)
         self.metrics.note_backend("interp")
         fw.annotate_span(backend="interp")
         if self._dist is not None:
@@ -686,19 +687,7 @@ class FlashEngine:
         )
         self._note_plan("edge_map_sparse", label, spec_origin, spec, use_col)
         if use_col:
-            name = "oocore" if self._oocore else "vectorized"
-            self.metrics.note_backend(name)
-            fw.annotate_span(backend=name)
-            if spec_origin == "synthesized":
-                fw.annotate_span(spec="synthesized")
-            runner = (
-                _ooc.run_edge_map_sparse if self._oocore else _vec.run_edge_map_sparse
-            )
-            try:
-                return runner(self, subset, spec)
-            except Exception:
-                fw.abort_superstep()
-                raise
+            return self._run_columnar("run_edge_map_sparse", spec_origin, subset, spec)
         self.metrics.note_backend("interp")
         fw.annotate_span(backend="interp")
         if self._dist is not None:

@@ -18,8 +18,8 @@ streams the graph's arcs from disk.  This module owns the disk format:
 
 Iterating a destination row's blocks in ascending source-interval order
 replays the arcs in exact global in-CSR order — the property the
-out-of-core kernels rely on for bit-identical floating-point folds (see
-``docs/out_of_core.md``).
+columnar kernels rely on for bit-identical floating-point folds over
+streamed blocks (see ``docs/out_of_core.md``).
 
 :class:`BlockStore` memory-maps shards under an LRU byte budget;
 :class:`BlockGraph` is a graph-shaped handle over a store for graphs
@@ -446,7 +446,7 @@ class BlockGraph:
     partitioner and interpreted kernels touch — per-vertex adjacency is
     *slow* (it scans a row or column of blocks), which is exactly the
     interp-over-blocks fallback contract: correct for unsynthesizable
-    kernels, fast only through the columnar block kernels.
+    kernels, fast only through the columnar kernels of ``backend="oocore"``.
     """
 
     def __init__(self, store: BlockStore):

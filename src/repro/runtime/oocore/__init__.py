@@ -1,8 +1,8 @@
 """Out-of-core block execution backend (``backend="oocore"``).
 
 Streams the graph's arcs from memory-mapped edge-block shards (see
-:mod:`repro.graph.blocks`) through block-at-a-time columnar kernels that
-replicate the vectorized backend's results and charged accounting
+:mod:`repro.graph.blocks`), one block at a time, through the vectorized
+backend's columnar kernels — the same results and charged accounting
 bit-for-bit, while keeping only O(|V|) vertex columns resident.
 """
 

@@ -1,483 +1,17 @@
-"""Block-at-a-time EDGEMAP / VERTEXMAP kernels over the block store.
+"""The oocore backend's kernel entry points.
 
-Each kernel replays the vectorized kernel's arc scan one edge block at a
-time, so only the currently mapped blocks plus O(|V|) columns are ever
-resident.  Results and charged accounting are *bit-identical* to
-:mod:`repro.runtime.vectorized.kernels` — the parity rests on one layout
-invariant (see :mod:`repro.graph.blocks`):
-
-    iterating a destination row's blocks in ascending source-interval
-    order visits each target's arcs in exactly the global in-CSR order
-    (source-ascending per target),
-
-so per-target sequential folds — including floating-point ``sum``,
-first-arc selection under a write-once C, and ``last`` — commit the same
-bits the vectorized (and therefore interpreted) kernels commit.  The op
-charges that the vectorized backend computes from flat arc arrays are
-derived here from resident degree arrays (they are frontier- and
-degree-determined, never block-determined), and blocks whose source
-interval holds no active vertex are skipped without being read — value-
-and accounting-safe because such blocks contribute no active arcs while
-op charging never depends on them.
+The out-of-core backend runs the shared columnar kernels of
+:mod:`repro.runtime.vectorized.kernels` unchanged; only their arc
+source differs (the engine's :class:`~repro.runtime.oocore.runtime.
+OocoreRuntime` streams edge blocks instead of reading the resident CSR).
+The engine resolves these names on this module for oocore engines, so
+they can be wrapped separately from the resident ones.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
-
-from repro.core.subset import VertexSubset
 from repro.runtime.vectorized.kernels import (
-    _MAXI,
-    _UFUNCS,
-    _add_ops,
-    _eval_value,
-    _subset_ids,
-    VertexBatch,
+    run_edge_map_dense,
+    run_edge_map_sparse,
+    run_vertex_map,
 )
-from repro.runtime.vectorized.kernels import run_vertex_map as _vec_run_vertex_map
-from repro.runtime.vectorized.specs import NOT_SET, EdgeMapSpec, VertexMapSpec
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-
-
-class BlockEdgeBatch:
-    """EdgeBatch-compatible view over one block's (filtered) arcs.
-
-    Unlike the vectorized ``EdgeBatch`` — which resolves ``w`` through a
-    cached O(|arcs|) weight column — a block batch carries its weights
-    explicitly (sliced from the block's ``w`` shard; ``None`` for
-    unweighted graphs, where ``w`` is all ones just like
-    ``Graph.arc_weights``)."""
-
-    __slots__ = ("_ctx", "_state", "src", "dst", "_w")
-
-    def __init__(self, ctx, state, src, dst, w=None):
-        self._ctx = ctx
-        self._state = state
-        self.src = src
-        self.dst = dst
-        self._w = w
-
-    def sp(self, name: str) -> np.ndarray:
-        """Source-vertex values of property ``name``."""
-        return self._state.array(name)[self.src]
-
-    def dp(self, name: str) -> np.ndarray:
-        """Target-vertex values of property ``name`` (current snapshot)."""
-        return self._state.array(name)[self.dst]
-
-    @property
-    def w(self) -> np.ndarray:
-        """Per-edge weights (1.0 when the graph is unweighted)."""
-        if self._w is None:
-            return np.ones(len(self.src), dtype=np.float64)
-        return self._w
-
-    @property
-    def src_out_deg(self) -> np.ndarray:
-        return self._ctx.out_degrees[self.src]
-
-    @property
-    def src_in_deg(self) -> np.ndarray:
-        return self._ctx.in_degrees[self.src]
-
-    def __len__(self) -> int:
-        return len(self.src)
-
-
-def _probe_dtype(ctx, state, spec: EdgeMapSpec) -> np.dtype:
-    """The value dtype ``spec.value`` produces, discovered on an empty
-    batch (NumPy dtype promotion is shape-independent, so this matches
-    the dtype the vectorized kernel sees on the full arc set)."""
-    return _eval_value(spec, BlockEdgeBatch(ctx, state, _EMPTY_I, _EMPTY_I)).dtype
-
-
-def _fit_acc(acc: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Upcast the accumulator if a block produced a wider value dtype
-    than the empty-batch probe predicted (defensive; value callables in
-    practice are dtype-stable)."""
-    want = np.result_type(acc.dtype, vals.dtype)
-    if want != acc.dtype:
-        return acc.astype(want)
-    return acc
-
-
-def _block_weights(block, sel) -> Optional[np.ndarray]:
-    if block.w is None:
-        return None
-    return np.asarray(block.w)[sel]
-
-
-def _active_mask(ctx, src: np.ndarray, mode: str, U: np.ndarray,
-                 interval: int, si: int) -> np.ndarray:
-    """Which of a block's arcs originate at an active vertex.
-
-    ``*.scan`` consults the O(|V|) frontier bitmask per arc; ``*.select``
-    binary-searches the (sorted) active ids restricted to the block's
-    source interval.  Identical results — the bimodal choice only trades
-    memory traffic for compute, per M-Flash."""
-    if mode.endswith(".select"):
-        lo = int(np.searchsorted(U, si * interval))
-        hi = int(np.searchsorted(U, (si + 1) * interval))
-        act = U[lo:hi]
-        if len(act) == 0:  # scheduler skips these; defensive
-            return np.zeros(len(src), dtype=bool)
-        idx = np.searchsorted(act, src)
-        np.minimum(idx, len(act) - 1, out=idx)
-        return act[idx] == src
-    return ctx._frontier_mask[src]
-
-
-# ----------------------------------------------------------------------
-# VERTEXMAP
-# ----------------------------------------------------------------------
-def run_vertex_map(engine, subset, F, M, spec: VertexMapSpec) -> VertexSubset:
-    # VERTEXMAP never touches arcs: the vectorized kernel runs as-is
-    # against the O(|V|)-resident oocore context (which deliberately
-    # lacks the flat arc arrays `_VecContext` caches).
-    return _vec_run_vertex_map(engine, subset, F, M, spec, ctx=engine._ooc.ctx)
-
-
-# ----------------------------------------------------------------------
-# EDGEMAP — push (sparse)
-# ----------------------------------------------------------------------
-def run_edge_map_sparse(engine, subset, spec: EdgeMapSpec) -> VertexSubset:
-    ooc = engine._ooc
-    ctx = ooc.ctx
-    fw = engine.flashware
-    state = fw.state
-    rec = fw._current
-    if fw.tracer.enabled:
-        fw.annotate_span(kernel=f"edge_map.scatter[{spec.kind}:{spec.reduce}]")
-    U = _subset_ids(subset)
-
-    # one op per enumerated out-edge (the C evaluation), charged to the
-    # source's owner — degree-determined, no arcs needed
-    enum = np.bincount(
-        ctx.owners[U], weights=ctx.out_degrees[U], minlength=ctx.P
-    )
-    _add_ops(rec, enum.astype(np.int64))
-
-    frontier = ctx._frontier_mask
-    frontier[U] = True
-    try:
-        active_per_si = ooc.active_per_interval(U)
-        interval = ooc.store.interval
-        col = state.array(spec.prop)
-        acc = col.astype(
-            np.result_type(col.dtype, _probe_dtype(ctx, state, spec)), copy=True
-        )
-        touched = np.zeros(ctx.n, dtype=bool)
-        m_src = np.zeros(ctx.P, dtype=np.int64)
-        r_dst = np.zeros(ctx.P, dtype=np.int64)
-        pair_chunks = []
-
-        for di in range(ooc.num_rows):
-            row_pairs = []
-            for block, mode in ooc.stream_row(di, active_per_si, "push"):
-                src = np.asarray(block.src)
-                dst = np.asarray(block.dst)
-                keep = _active_mask(ctx, src, mode, U, interval, block.meta.si)
-                sel = np.flatnonzero(keep)
-                if len(sel) == 0:
-                    continue
-                srcs, dsts = src[sel], dst[sel]
-                w = _block_weights(block, sel)
-
-                if spec.cond_unvisited is not NOT_SET:
-                    eligible = col[dsts] == spec.cond_unvisited
-                    srcs, dsts = srcs[eligible], dsts[eligible]
-                    if w is not None:
-                        w = w[eligible]
-                elif spec.cond is not None:
-                    eligible = np.asarray(
-                        spec.cond(VertexBatch(ctx, state, dsts)), dtype=bool
-                    )
-                    srcs, dsts = srcs[eligible], dsts[eligible]
-                    if w is not None:
-                        w = w[eligible]
-
-                batch = BlockEdgeBatch(ctx, state, srcs, dsts, w)
-                vals = _eval_value(spec, batch)
-                if spec.f == "improve":
-                    snap = col[dsts]
-                    keep2 = vals < snap if spec.reduce == "min" else vals > snap
-                elif callable(spec.f):
-                    keep2 = np.asarray(spec.f(batch), dtype=bool)
-                else:
-                    keep2 = None
-                if keep2 is not None:
-                    srcs, dsts, vals = srcs[keep2], dsts[keep2], vals[keep2]
-
-                # one op per M-passing edge (source owner), one per temp
-                # folded by R (target owner)
-                m_src += np.bincount(ctx.owners[srcs], minlength=ctx.P)
-                r_dst += np.bincount(ctx.owners[dsts], minlength=ctx.P)
-                if len(dsts) == 0:
-                    continue
-                acc = _fit_acc(acc, vals)
-                if spec.reduce == "last":
-                    # block arcs are (target, source)-ascending; later
-                    # source intervals overwrite, so the final survivor
-                    # is each target's last arc in global fold order
-                    uniq = np.unique(dsts)
-                    last_pos = np.searchsorted(dsts, uniq, side="right") - 1
-                    acc[uniq] = vals[last_pos]
-                else:
-                    _UFUNCS[spec.reduce].at(acc, dsts, vals)
-                touched[dsts] = True
-                row_pairs.append(dsts * ctx.P + ctx.owners[srcs])
-            if row_pairs:
-                pair_chunks.append(np.unique(np.concatenate(row_pairs)))
-    finally:
-        frontier[U] = False
-
-    _add_ops(rec, m_src)
-    _add_ops(rec, r_dst)
-
-    out_ids = np.flatnonzero(touched)
-    if pair_chunks:
-        # rows cover disjoint target ranges in ascending order, so the
-        # per-row unique pair codes concatenate to the global sorted set
-        pairs = np.concatenate(pair_chunks)
-        reduce_pairs = (pairs // ctx.P, pairs % ctx.P)
-    else:
-        reduce_pairs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-    fw.barrier_columnar(
-        out_ids,
-        {spec.prop: acc[out_ids]},
-        reduce_pairs=reduce_pairs,
-        frontier_out=int(len(out_ids)),
-    )
-    return VertexSubset(engine, out_ids.tolist())
-
-
-# ----------------------------------------------------------------------
-# EDGEMAP — pull (dense)
-# ----------------------------------------------------------------------
-def run_edge_map_dense(engine, subset, spec: EdgeMapSpec) -> VertexSubset:
-    ooc = engine._ooc
-    ctx = ooc.ctx
-    fw = engine.flashware
-    state = fw.state
-    rec = fw._current
-    if fw.tracer.enabled:
-        fw.annotate_span(kernel=f"edge_map.segment[{spec.kind}:{spec.reduce}]")
-    ids = _subset_ids(subset)
-
-    frontier = ctx._frontier_mask
-    frontier[ids] = True
-    try:
-        active_per_si = ooc.active_per_interval(ids)
-        if spec.kind == "gather":
-            return _dense_gather(
-                engine, ooc, ctx, state, rec, spec, ids, active_per_si
-            )
-        if spec.cond_unvisited is not NOT_SET:
-            return _dense_unvisited(
-                engine, ooc, ctx, state, rec, spec, ids, active_per_si
-            )
-        cmask = None
-        if spec.cond is not None:
-            cmask = np.asarray(
-                spec.cond(
-                    VertexBatch(ctx, state, np.arange(ctx.n, dtype=np.int64))
-                ),
-                dtype=bool,
-            )
-        return _dense_full(
-            engine, ooc, ctx, state, rec, spec, ids, active_per_si, cmask
-        )
-    finally:
-        frontier[ids] = False
-
-
-def _dense_full(
-    engine, ooc, ctx, state, rec, spec, ids, active_per_si, cmask
-) -> VertexSubset:
-    """Pull with C = ctrue (or a scan-invariant general C)."""
-    fw = engine.flashware
-    interval = ooc.store.interval
-    col = state.array(spec.prop)
-    acc = col.astype(
-        np.result_type(col.dtype, _probe_dtype(ctx, state, spec)), copy=True
-    )
-    touched_mask = np.zeros(ctx.n, dtype=bool)
-
-    for di in range(ooc.num_rows):
-        for block, mode in ooc.stream_row(di, active_per_si, "pull"):
-            src = np.asarray(block.src)
-            dst = np.asarray(block.dst)
-            keep = _active_mask(ctx, src, mode, ids, interval, block.meta.si)
-            if cmask is not None:
-                keep = keep & cmask[dst]
-            sel = np.flatnonzero(keep)
-            if len(sel) == 0:
-                continue
-            srcs, dsts = src[sel], dst[sel]
-            w = _block_weights(block, sel)
-            if callable(spec.f):
-                batch = BlockEdgeBatch(ctx, state, srcs, dsts, w)
-                keep2 = np.asarray(spec.f(batch), dtype=bool)
-                srcs, dsts = srcs[keep2], dsts[keep2]
-                if w is not None:
-                    w = w[keep2]
-                if len(dsts) == 0:
-                    continue
-            batch = BlockEdgeBatch(ctx, state, srcs, dsts, w)
-            vals = _eval_value(spec, batch)
-            acc = _fit_acc(acc, vals)
-            if spec.reduce == "last":
-                uniq = np.unique(dsts)
-                last_pos = np.searchsorted(dsts, uniq, side="right") - 1
-                acc[uniq] = vals[last_pos]
-            else:
-                # ascending source order per target across the row's
-                # blocks == the interpreted per-target sequential fold
-                _UFUNCS[spec.reduce].at(acc, dsts, vals)
-            touched_mask[dsts] = True
-
-    touched = np.flatnonzero(touched_mask)
-    if spec.f == "improve":
-        if spec.reduce == "min":
-            applied = touched[acc[touched] < col[touched]]
-        else:
-            applied = touched[acc[touched] > col[touched]]
-    else:
-        applied = touched
-
-    # op charges are degree-determined (see the vectorized kernel): full
-    # scan per C-passing target, one op per C-failing target with arcs
-    if cmask is None:
-        per_worker = np.bincount(
-            ctx.owners, weights=ctx.in_degrees, minlength=ctx.P
-        )
-    else:
-        t_ops = np.where(cmask, ctx.in_degrees, np.minimum(ctx.in_degrees, 1))
-        per_worker = np.bincount(ctx.owners, weights=t_ops, minlength=ctx.P)
-    _add_ops(rec, per_worker.astype(np.int64))
-
-    fw.barrier_columnar(
-        applied, {spec.prop: acc[applied]}, frontier_out=int(len(applied))
-    )
-    return VertexSubset(engine, applied.tolist())
-
-
-def _dense_unvisited(
-    engine, ooc, ctx, state, rec, spec, ids, active_per_si
-) -> VertexSubset:
-    """Pull with a write-once C: each unvisited target takes the value
-    of its first active in-arc in global scan order.  Blocks report the
-    minimum-position candidate per target; a running O(|V|) argmin
-    across blocks recovers the global first arc."""
-    fw = engine.flashware
-    interval = ooc.store.interval
-    weighted = ooc.store.weighted
-    col = state.array(spec.prop)
-    eligible_t = col == spec.cond_unvisited
-
-    first = np.full(ctx.n, _MAXI, dtype=np.int64)
-    first_src = np.zeros(ctx.n, dtype=np.int64)
-    first_w = np.ones(ctx.n, dtype=np.float64) if weighted else None
-
-    for di in range(ooc.num_rows):
-        for block, mode in ooc.stream_row(di, active_per_si, "pull"):
-            src = np.asarray(block.src)
-            dst = np.asarray(block.dst)
-            keep = _active_mask(ctx, src, mode, ids, interval, block.meta.si)
-            keep &= eligible_t[dst]
-            sel = np.flatnonzero(keep)
-            if callable(spec.f):
-                w = _block_weights(block, sel)
-                batch = BlockEdgeBatch(ctx, state, src[sel], dst[sel], w)
-                sel = sel[np.asarray(spec.f(batch), dtype=bool)]
-            if len(sel) == 0:
-                continue
-            kdst = dst[sel]
-            kpos = np.asarray(block.pos)[sel]
-            # kdst is non-decreasing and kpos ascending within a target,
-            # so the first occurrence per target is its block minimum
-            uniq, fidx = np.unique(kdst, return_index=True)
-            cand_pos = kpos[fidx]
-            better = cand_pos < first[uniq]
-            upd = uniq[better]
-            first[upd] = cand_pos[better]
-            first_src[upd] = src[sel][fidx][better]
-            if weighted:
-                first_w[upd] = np.asarray(block.w)[sel][fidx][better]
-
-    applied = np.flatnonzero(first < _MAXI)
-    selpos = first[applied]
-    batch = BlockEdgeBatch(
-        ctx, state, first_src[applied], applied,
-        first_w[applied] if weighted else None,
-    )
-    vals = _eval_value(spec, batch)
-
-    # ops per target (the vectorized kernel's formula, all resident)
-    indeg = ctx.in_degrees
-    t_ops = np.zeros(ctx.n, dtype=np.int64)
-    visited = ~eligible_t & (indeg > 0)
-    t_ops[visited] = 1
-    t_ops[eligible_t] = indeg[eligible_t]
-    t_ops[applied] = np.minimum(selpos - ctx.in_indptr[applied] + 2, indeg[applied])
-    per_worker = np.bincount(ctx.owners, weights=t_ops, minlength=ctx.P)
-    _add_ops(rec, per_worker.astype(np.int64))
-
-    fw.barrier_columnar(
-        applied, {spec.prop: vals}, frontier_out=int(len(applied))
-    )
-    return VertexSubset(engine, applied.tolist())
-
-
-def _dense_gather(
-    engine, ooc, ctx, state, rec, spec, ids, active_per_si
-) -> VertexSubset:
-    """Pull that appends each active edge's value to the target's
-    list-valued property (LPA gossip)."""
-    fw = engine.flashware
-    interval = ooc.store.interval
-    bufs = {}
-
-    for di in range(ooc.num_rows):
-        for block, mode in ooc.stream_row(di, active_per_si, "pull"):
-            src = np.asarray(block.src)
-            dst = np.asarray(block.dst)
-            keep = _active_mask(ctx, src, mode, ids, interval, block.meta.si)
-            sel = np.flatnonzero(keep)
-            if callable(spec.f):
-                w = _block_weights(block, sel)
-                batch = BlockEdgeBatch(ctx, state, src[sel], dst[sel], w)
-                sel = sel[np.asarray(spec.f(batch), dtype=bool)]
-            if len(sel) == 0:
-                continue
-            ksrc, kdst = src[sel], dst[sel]
-            batch = BlockEdgeBatch(
-                ctx, state, ksrc, kdst, _block_weights(block, sel)
-            )
-            vals = _eval_value(spec, batch).tolist()
-            # per-target slices arrive in global fold order (ascending
-            # source across the row's blocks), matching the interpreted
-            # append order
-            uniq, start = np.unique(kdst, return_index=True)
-            bounds = np.append(start[1:], len(kdst))
-            for t, s, e in zip(uniq.tolist(), start.tolist(), bounds.tolist()):
-                bufs.setdefault(t, []).extend(vals[s:e])
-
-    touched = np.asarray(sorted(bufs), dtype=np.int64)
-    col = state.column(spec.prop)
-    new_lists = []
-    for t in touched.tolist():
-        base = col[t]
-        new_lists.append(list(base) + bufs[t] if base else bufs[t])
-
-    per_worker = np.bincount(ctx.owners, weights=ctx.in_degrees, minlength=ctx.P)
-    _add_ops(rec, per_worker.astype(np.int64))
-
-    fw.barrier_columnar(
-        touched, {spec.prop: new_lists}, frontier_out=int(len(touched))
-    )
-    return VertexSubset(engine, touched.tolist())
+__all__ = ["run_edge_map_dense", "run_edge_map_sparse", "run_vertex_map"]

@@ -1,11 +1,13 @@
-"""Out-of-core runtime state: options, context, block scheduler.
+"""Out-of-core runtime state: options, store lifecycle, arc source.
 
 One :class:`OocoreRuntime` lives on each ``backend="oocore"`` engine.
 It owns (or borrows) the engine's :class:`~repro.graph.blocks.BlockStore`
 — building one from the resident CSR on first use, or reusing the store
 behind a :class:`~repro.graph.blocks.BlockGraph` for graphs that were
-never resident — plus the O(|V|) context arrays the block kernels need
-and the scheduler that streams a destination row's blocks through them.
+never resident — and is the engine's arc source: the shared columnar
+kernels of :mod:`repro.runtime.vectorized.kernels` pull the active arcs
+from it block by block, so only O(|V|) arrays and the mapped blocks are
+ever resident.
 
 Because nested engines (BC, SCC, BCC build sub-engines through
 ``make_engine``) receive no constructor kwargs, the memory budget /
@@ -15,15 +17,15 @@ scopes them the same way ``use_backend`` scopes the backend choice.
 
 from __future__ import annotations
 
-import math
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.graph.blocks import Block, BlockGraph, BlockStore, build_block_store
+from repro.graph.blocks import BlockGraph, BlockStore, build_block_store
+from repro.runtime.vectorized.kernels import EdgeBatch
 
 
 @dataclass(frozen=True)
@@ -40,19 +42,11 @@ class OocoreOptions:
     ``directory``
         Where to build the block store; ``None`` uses a temporary
         directory removed on ``engine.close()``.
-    ``dense_block_threshold``
-        Frontier density (active sources / interval width) at or above
-        which a block is processed in *scan* mode (bitmask over the
-        block's arcs) instead of *select* mode (binary search against
-        the sorted active ids) — M-Flash's dense/sparse bimodal choice.
-        Both modes touch identical arcs; only the selection strategy
-        differs, so results and charged metrics never depend on this.
     """
 
     budget: Optional[int] = None
     interval: Optional[int] = None
     directory: Optional[str] = None
-    dense_block_threshold: float = 0.125
 
 
 _ambient = OocoreOptions()
@@ -82,31 +76,8 @@ def use_oocore(**overrides) -> Iterator[OocoreOptions]:
         _ambient = prev
 
 
-class OocContext:
-    """O(|V|)-resident arrays the block kernels share.
-
-    The deliberate difference from the vectorized backend's
-    ``_VecContext``: nothing O(|arcs|) is ever materialized — no flat
-    index arrays, no ``in_targets``, no arc-weight columns.  Arcs only
-    exist inside whichever blocks are currently mapped.
-    """
-
-    def __init__(self, engine):
-        g = engine.graph
-        part = engine.flashware.partition
-        self.graph = g
-        self.n = g.num_vertices
-        self.P = part.num_partitions
-        self.owners = part.owners()
-        self.out_degrees = np.asarray(g.out_degrees(), dtype=np.int64)
-        self.in_degrees = np.asarray(g.in_degrees(), dtype=np.int64)
-        self.in_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.in_degrees, out=self.in_indptr[1:])
-        self._frontier_mask = np.zeros(self.n, dtype=bool)
-
-
 class OocoreRuntime:
-    """Store lifecycle + block scheduling for one oocore engine."""
+    """Store lifecycle + arc source for one oocore engine."""
 
     def __init__(
         self,
@@ -122,7 +93,6 @@ class OocoreRuntime:
             interval = opts.interval
         if directory is None:
             directory = opts.directory
-        self.options = opts
         self.engine = engine
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
 
@@ -142,7 +112,6 @@ class OocoreRuntime:
             if budget is not None:
                 self.store.budget = max(1, int(budget))
         self.store.on_miss = self._charge_io
-        self.ctx = OocContext(engine)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -156,66 +125,45 @@ class OocoreRuntime:
             rec.bytes_read += meta.bytes
 
     # ------------------------------------------------------------------
-    def active_per_interval(self, ids: np.ndarray) -> np.ndarray:
-        """Active-source counts per source interval — the frontier-skip
-        index: blocks in an interval with zero actives are never read."""
-        counts = np.zeros(self.store.num_intervals, dtype=np.int64)
-        if len(ids):
-            counts += np.bincount(
-                ids // self.store.interval, minlength=self.store.num_intervals
-            )
-        return counts
+    def chunks(self, ctx, state, ids: np.ndarray, push: bool) -> Iterator[EdgeBatch]:
+        """The arc source of the shared kernels (see
+        :mod:`repro.runtime.vectorized.kernels`): the arcs leaving the
+        frontier, one chunk per block, in global in-CSR order.
 
-    def stream_row(
-        self,
-        di: int,
-        active_per_si: Optional[np.ndarray],
-        kind: str,
-    ) -> Iterator[Tuple[Block, str]]:
-        """Stream destination row ``di``'s non-empty blocks in ascending
-        source-interval order (== global in-CSR arc order within the
-        row), skipping source intervals with no active vertices.
-
-        Yields ``(block, mode)`` where ``mode`` is the per-block
-        processing strategy (``{kind}.scan`` or ``{kind}.select``)
-        chosen from frontier density.  Emits one ``oocore.block`` span
-        per block streamed; cache misses are charged to the superstep by
-        the store's miss hook.
+        Destination rows stream in ascending order and, within a row,
+        blocks in ascending source interval — which replays in-CSR order
+        (see :mod:`repro.graph.blocks`).  Blocks whose source interval
+        holds no active vertex are skipped unread; the other blocks'
+        arcs are filtered by ``ctx.frontier_mask``.  Push and pull read
+        the same stream, so ``push`` is unused.  Emits one
+        ``oocore.block`` span per block streamed; cache misses are
+        charged to the superstep by the store's miss hook.
         """
         store = self.store
-        fw = self.engine.flashware
-        tracer = fw.tracer
-        interval = store.interval
-        for meta in store.row_metas(di):
-            si = meta.si
-            if active_per_si is not None and active_per_si[si] == 0:
-                continue
-            if active_per_si is None:
-                mode = f"{kind}.scan"
-            else:
-                width = min(interval, store.num_vertices - si * interval)
-                density = active_per_si[si] / max(width, 1)
-                mode = (
-                    f"{kind}.scan"
-                    if density >= self.options.dense_block_threshold
-                    else f"{kind}.select"
+        tracer = self.engine.flashware.tracer
+        active = np.bincount(ids // store.interval, minlength=store.num_intervals)
+        for di in range(store.num_intervals):
+            for meta in store.row_metas(di):
+                if active[meta.si] == 0:
+                    continue
+                span = (
+                    tracer.start(
+                        "oocore.block", cat="oocore",
+                        di=di, si=meta.si, arcs=meta.arcs,
+                    )
+                    if tracer.enabled
+                    else None
                 )
-            span = (
-                tracer.start(
-                    "oocore.block", cat="oocore",
-                    di=di, si=si, arcs=meta.arcs,
-                )
-                if tracer.enabled
-                else None
-            )
-            block, hit = store.get(di, si)
-            yield block, mode
-            if span is not None:
-                span.end(bytes=meta.bytes, cached=hit, mode=mode)
-
-    @property
-    def num_rows(self) -> int:
-        return self.store.num_intervals
+                block, hit = store.get(di, meta.si)
+                src = np.asarray(block.src)
+                sel = np.flatnonzero(ctx.frontier_mask[src])
+                if len(sel):
+                    yield EdgeBatch(
+                        ctx, state, src[sel], np.asarray(block.dst)[sel],
+                        np.asarray(block.pos)[sel], lambda w=block.w: w, sel,
+                    )
+                if span is not None:
+                    span.end(bytes=meta.bytes, cached=hit)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -533,17 +533,10 @@ def format_trace_summary(spans: Sequence[Span], top: int = 10) -> str:
     if oocore:
         reads = [s for s in oocore if not s.args.get("cached")]
         read_bytes = sum(int(s.args.get("bytes", 0)) for s in reads)
-        modes: Dict[str, int] = {}
-        for s in oocore:
-            mode = s.args.get("mode")
-            if mode:
-                modes[mode] = modes.get(mode, 0) + 1
-        mode_text = ", ".join(f"{m} x{n}" for m, n in sorted(modes.items()))
         lines.append(
             f"out-of-core I/O: {len(oocore)} block visits, "
             f"{len(reads)} disk reads ({read_bytes} bytes), "
             f"{len(oocore) - len(reads)} cache hits"
-            + (f"; modes: {mode_text}" if mode_text else "")
         )
 
     recovery = [s for s in spans if s.cat == "recovery"]

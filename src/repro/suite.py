@@ -199,7 +199,7 @@ def run_app(
     """Run one application on one framework.
 
     ``backend`` selects the FLASH execution backend (``interp`` /
-    ``vectorized`` / ``auto``); ``None`` keeps the ambient default.
+    ``vectorized`` / ``oocore``); ``None`` keeps the ambient default.
     Baselines always interpret.
 
     ``executor`` selects the FLASH execution substrate: ``inline`` (the

@@ -58,11 +58,9 @@ class TestSuiteParity:
         assert vec.metrics.total_messages == interp.metrics.total_messages, app
         assert vec.metrics.total_values == interp.metrics.total_values, app
 
-    def test_auto_is_vectorized_alias(self, graph):
-        vec = run_app("flash", "bfs", graph, num_workers=3, backend="vectorized")
-        auto = run_app("flash", "bfs", graph, num_workers=3, backend="auto")
-        assert auto.values == vec.values
-        assert auto.metrics.summary() == vec.metrics.summary()
+    def test_auto_backend_rejected(self, graph):
+        with pytest.raises(ValueError, match="unknown backend 'auto'"):
+            run_app("flash", "bfs", graph, num_workers=3, backend="auto")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from repro import load_dataset, random_graph
 from repro.__main__ import main
 from repro.algorithms import bfs, kcore_opt, pagerank, sssp
 from repro.core.engine import FlashEngine
+from repro.errors import FlashUsageError
+from repro.graph.blocks import BlockGraph, build_block_store
 from repro.runtime.oocore import OocoreOptions, current_oocore_options, use_oocore
 from repro.runtime.vectorized import use_backend
 from repro.suite import APPS, DIRECTED_APPS, prepare_graph, run_app
@@ -45,24 +47,33 @@ def _strip_io(summary):
     return summary, io
 
 
-def _suite_pair(app, graph, **kwargs):
+def _suite_pair(app, graph, interval=8, **kwargs):
     vec = run_app("flash", app, graph, num_workers=3, backend="vectorized", **kwargs)
-    with use_oocore(interval=8):
+    with use_oocore(interval=interval):
         ooc = run_app("flash", app, graph, num_workers=3, backend="oocore", **kwargs)
     return vec, ooc
+
+
+#: Block intervals of the suite sweep.  On the 40-vertex graph, 64 gives
+#: one block (the resident source's single-chunk shape) and 1 splits each
+#: target's arcs across the most chunks.
+INTERVALS = (1, 8, 64)
 
 
 # ---------------------------------------------------------------------------
 # Whole-suite sweep
 # ---------------------------------------------------------------------------
 class TestSuiteParity:
-    @pytest.mark.parametrize("app", APPS)
-    def test_app_parity(self, app, graph):
+    @pytest.mark.parametrize("app, interval", [
+        pytest.param(app, i, id=app if i == 8 else f"{app}-interval{i}")
+        for i in INTERVALS for app in APPS
+    ])
+    def test_app_parity(self, app, interval, graph):
         g = graph
         if app in DIRECTED_APPS:
             g = load_dataset("OR", scale=0.05, directed=True)
         g = prepare_graph(app, g)
-        vec, ooc = _suite_pair(app, g)
+        vec, ooc = _suite_pair(app, g, interval)
         assert ooc.values == vec.values, app
         vec_summary, vec_io = _strip_io(vec.metrics.summary())
         ooc_summary, ooc_io = _strip_io(ooc.metrics.summary())
@@ -171,6 +182,25 @@ class TestFallback:
         choices = b.engine.metrics.backend_choices
         assert choices.get("oocore", 0) > 0
         assert choices.get("interp", 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# Never-resident graphs
+# ---------------------------------------------------------------------------
+class TestBlockGraph:
+    def test_vectorized_rejects_block_graph(self, graph, tmp_path):
+        """A BlockGraph has no resident CSR for the vectorized backend to
+        read: the engine must refuse it up front, not crash mid-run."""
+        store = build_block_store(graph, tmp_path / "blocks", interval=8)
+        try:
+            with pytest.raises(FlashUsageError, match="backend='oocore'"):
+                FlashEngine(BlockGraph(store), num_workers=3, backend="vectorized")
+            with FlashEngine(BlockGraph(store), num_workers=3,
+                             backend="oocore") as eng:
+                streamed = bfs(eng, root=0)
+            assert streamed.values == bfs(graph, root=0, num_workers=3).values
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------------
