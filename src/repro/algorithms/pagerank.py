@@ -40,7 +40,7 @@ def pagerank(
     n = eng.graph.num_vertices
     eng.add_property("rank", 1.0 / max(n, 1))
     eng.add_property("acc", 0.0)
-    dangling = [v for v in range(n) if eng.graph.out_degree(v) == 0]
+    dangling = np.flatnonzero(eng.graph.out_degrees() == 0).tolist()
 
     def scatter(s, d):
         share = s.rank / s.out_deg if s.out_deg else 0.0

@@ -525,7 +525,7 @@ class FlashEngine:
         if type(edges) is BaseEdges:
             if self._out_degree_cache is None:
                 self._out_degree_cache = self.graph.out_degrees()
-            return int(self._out_degree_cache[subset._sorted].sum())
+            return int(self._out_degree_cache[subset.array].sum())
         return edges.out_work(self, subset)
 
     def edge_map_dense(
@@ -750,7 +750,7 @@ class FlashEngine:
             broadcast_all=not edges.within_graph,
             frontier_out=len(out),
         )
-        return VertexSubset(self, sorted(out))
+        return VertexSubset(self, out)
 
     # ------------------------------------------------------------------
     # Auxiliary operators

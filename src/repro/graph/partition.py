@@ -34,34 +34,31 @@ class PartitionMap:
         self._members: List[np.ndarray] = [
             np.nonzero(self._owner == p)[0] for p in range(num_partitions)
         ]
-        self._neighbor_mirrors: List[FrozenSet[int]] = self._compute_neighbor_mirrors()
-        self._neighbor_mirror_counts: np.ndarray = np.fromiter(
-            (len(m) for m in self._neighbor_mirrors),
-            dtype=np.int64,
-            count=graph.num_vertices,
-        )
+        self._mask = self._neighbor_partition_mask()
+        self._neighbor_mirror_counts: np.ndarray = self._mask.sum(axis=1)
+        self._neighbor_mirrors: Dict[int, FrozenSet[int]] = {}
 
-    def _compute_neighbor_mirrors(self) -> List[FrozenSet[int]]:
-        """For each vertex, the partitions (other than its owner) holding at
-        least one in- or out-neighbor — the *necessary mirrors*."""
+    def _neighbor_partition_mask(self) -> np.ndarray:
+        """``(n, P)`` boolean mask: partition ``p`` holds a mirror of ``v``
+        because it owns at least one in- or out-neighbor of ``v`` and is
+        not ``v``'s owner — the *necessary mirrors* of every vertex."""
         g = self._graph
+        n, owner = g.num_vertices, self._owner
         hook = getattr(g, "neighbor_partition_mask", None)
         if hook is not None:
-            # Bulk path for graphs with expensive per-vertex adjacency
-            # (block-paged out-of-core graphs): one streaming pass yields
-            # an (n, P) neighbor-partition mask.
-            mask = np.asarray(hook(self._owner, self._num_partitions), dtype=bool)
-            if g.num_vertices:
-                mask[np.arange(g.num_vertices), self._owner] = False
-            return [frozenset(np.flatnonzero(row).tolist()) for row in mask]
-        result: List[FrozenSet[int]] = []
-        for v in range(g.num_vertices):
-            parts = set(self._owner[g.out_neighbors(v)].tolist())
+            # Graphs with expensive per-vertex adjacency (block-paged
+            # out-of-core graphs) build the mask in one streaming pass.
+            mask = np.asarray(hook(owner, self._num_partitions), dtype=bool)
+        else:
+            mask = np.zeros((n, self._num_partitions), dtype=bool)
+            csr = g.out_csr
+            src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
+            mask[src, owner[csr.indices]] = True
             if g.directed:
-                parts.update(self._owner[g.in_neighbors(v)].tolist())
-            parts.discard(int(self._owner[v]))
-            result.append(frozenset(parts))
-        return result
+                mask[csr.indices, owner[src]] = True
+        if n:
+            mask[np.arange(n), owner] = False
+        return mask
 
     # ------------------------------------------------------------------
     @property
@@ -90,11 +87,15 @@ class PartitionMap:
     def neighbor_mirrors(self, v: int) -> FrozenSet[int]:
         """Partitions holding a *necessary* mirror of ``v`` (those with at
         least one neighbor of ``v``)."""
-        return self._neighbor_mirrors[v]
+        mirrors = self._neighbor_mirrors.get(v)
+        if mirrors is None:
+            mirrors = frozenset(np.flatnonzero(self._mask[v]).tolist())
+            self._neighbor_mirrors[v] = mirrors
+        return mirrors
 
     def neighbor_mirror_counts(self) -> np.ndarray:
         """``len(neighbor_mirrors(v))`` for every vertex as one array —
-        the vectorized barrier charges sync messages from it."""
+        both barriers charge sync messages from it."""
         return self._neighbor_mirror_counts
 
     def all_mirrors(self, v: int) -> FrozenSet[int]:
@@ -110,8 +111,7 @@ class PartitionMap:
         n = self._graph.num_vertices
         if n == 0:
             return 0.0
-        total = sum(1 + len(m) for m in self._neighbor_mirrors)
-        return total / n
+        return (n + int(self._neighbor_mirror_counts.sum())) / n
 
     def partition_sizes(self) -> List[int]:
         return [len(m) for m in self._members]

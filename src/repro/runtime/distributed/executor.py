@@ -984,7 +984,7 @@ class DistributedFlashware(Flashware):
             n for n in names
             if n not in self._critical and self.state.has_property(n)
         ]
-        debts = {n: set(self._unsynced.get(n, ())) for n in fresh}
+        debts = {n: self._unsynced.get(n) for n in fresh}
         super().mark_critical(names)
         session = self.session
         if session is None:
@@ -994,16 +994,17 @@ class DistributedFlashware(Flashware):
             # copy is fresh from the promotion point on (uncharged — the
             # simulated model pays only the per-vertex debt below).
             session.ship_column(name, self.state.column(name))
+            debt = debts[name]
             if (
-                debts[name]
+                debt is not None
                 and self.options.sync_critical_only
                 and self._current is not None
             ):
                 # Real counterpart of the charged promotion debt.
-                for vid in debts[name]:
-                    mirrors = self.partition.neighbor_mirrors(vid)
-                    if mirrors:
-                        session.step_add("sync_entries", len(mirrors))
+                counts = self.partition.neighbor_mirror_counts()
+                entries = int(counts[debt].sum())
+                if entries:
+                    session.step_add("sync_entries", entries)
         if fresh:
             session.mark_critical(fresh)
 

@@ -128,10 +128,10 @@ class Flashware:
         #: the no-op NULL_TRACER, keeping the untraced path free.
         self.tracer = current_tracer()
         self._span: Optional[SpanHandle] = None
-        # Vertices whose value of a (so far) non-critical property changed
-        # without being synced — the debt paid if the property is later
-        # promoted to critical.
-        self._unsynced: Dict[str, Set[int]] = {}
+        # Per (so far) non-critical property, a |V| bool mask of the
+        # vertices whose value changed without being synced — the debt
+        # paid if the property is later promoted to critical.
+        self._unsynced: Dict[str, np.ndarray] = {}
         # ---- fault tolerance (see repro.runtime.recovery) ----
         # Logical superstep counter: the number of *committed* supersteps
         # of the current execution attempt (aborted supersteps do not
@@ -361,17 +361,17 @@ class Flashware:
             if self.options.sync_critical_only:
                 for name in changed:
                     if name not in self._critical:
-                        self._unsynced.setdefault(name, set()).add(vid)
+                        self._debt(name)[vid] = True
             if not sync_props:
                 continue
             if broadcast_all or not self.options.necessary_mirrors_only:
-                mirrors = self.partition.all_mirrors(vid)
+                mirrors = self.partition.num_partitions - 1
             else:
-                mirrors = self.partition.neighbor_mirrors(vid)
+                mirrors = int(self.partition.neighbor_mirror_counts()[vid])
             if mirrors:
-                rec.sync_messages += len(mirrors)
+                rec.sync_messages += mirrors
                 size = sum(payload_size(changed[name]) for name in sync_props)
-                rec.sync_values += len(mirrors) * size
+                rec.sync_values += mirrors * size
 
         rec.frontier_out = frontier_out
         if sync_span is not None:
@@ -515,9 +515,7 @@ class Flashware:
                 else:
                     sync_values += int((counts * pay[mask]).sum())
             else:
-                self._unsynced.setdefault(name, set()).update(
-                    int(v) for v in changed_ids.tolist()
-                )
+                self._debt(name)[changed_ids] = True
         if any_synced.any():
             rec.sync_messages += int(mirror_counts[ids[any_synced]].sum())
             rec.sync_values += sync_values
@@ -574,15 +572,24 @@ class Flashware:
                 raise KeyError(f"unknown property {name!r}")
             self._critical.add(name)
             debt = self._unsynced.pop(name, None)
-            if debt and self.options.sync_critical_only and self._current is not None:
+            if debt is not None and self.options.sync_critical_only and self._current is not None:
                 rec = self._current
-                for vid in debt:
-                    mirrors = self.partition.neighbor_mirrors(vid)
+                counts = self.partition.neighbor_mirror_counts()
+                for vid in np.flatnonzero(debt).tolist():
+                    mirrors = int(counts[vid])
                     if mirrors:
-                        rec.sync_messages += len(mirrors)
-                        rec.sync_values += len(mirrors) * payload_size(
+                        rec.sync_messages += mirrors
+                        rec.sync_values += mirrors * payload_size(
                             self.state.get(vid, name)
                         )
+
+    def _debt(self, name: str) -> np.ndarray:
+        """The unsynced-change mask of property ``name``, created empty
+        on first use."""
+        debt = self._unsynced.get(name)
+        if debt is None:
+            debt = self._unsynced[name] = np.zeros(self.graph.num_vertices, dtype=bool)
+        return debt
 
     def note_analyzed(self, names: Iterable[str]) -> None:
         """Record that the analysis has seen these properties (without
@@ -617,7 +624,7 @@ class Flashware:
             },
             "critical": set(self._critical),
             "analyzed": set(self._analyzed),
-            "unsynced": {k: set(v) for k, v in self._unsynced.items()},
+            "unsynced": {k: np.flatnonzero(v) for k, v in self._unsynced.items()},
             "superstep": self.superstep_seq,
         }
 
@@ -666,7 +673,12 @@ class Flashware:
                 live[:] = restored
         self._critical = set(snapshot["critical"])
         self._analyzed = set(snapshot["analyzed"])
-        self._unsynced = {k: set(v) for k, v in snapshot["unsynced"].items()}
+        self._unsynced = {}
+        for name, ids in snapshot["unsynced"].items():
+            # any iterable of ids (older snapshots hold Python sets)
+            if not isinstance(ids, np.ndarray):
+                ids = np.fromiter(ids, dtype=np.int64)
+            self._debt(name)[ids] = True
 
     def reset_for_recovery(self) -> None:
         """Reset the logical run state for a recovery re-execution: fresh

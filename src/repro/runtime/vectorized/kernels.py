@@ -325,10 +325,6 @@ def _add_ops(rec, per_worker: np.ndarray) -> None:
             ops[w] += int(count)
 
 
-def _subset_ids(subset: VertexSubset) -> np.ndarray:
-    return np.asarray(subset._sorted, dtype=np.int64)
-
-
 def _eval_value(spec: EdgeMapSpec, batch: EdgeBatch) -> np.ndarray:
     if callable(spec.value):
         vals = np.asarray(spec.value(batch))
@@ -406,7 +402,7 @@ def run_vertex_map(engine, subset, F, M, spec: VertexMapSpec) -> VertexSubset:
     rec = fw._current
     if fw.tracer.enabled:
         fw.annotate_span(kernel="vertex_map.batch")
-    ids = _subset_ids(subset)
+    ids = subset.array
 
     if F is not None:
         _add_ops(rec, np.bincount(ctx.owners[ids], minlength=ctx.P))
@@ -434,7 +430,7 @@ def run_vertex_map(engine, subset, F, M, spec: VertexMapSpec) -> VertexSubset:
                 updates[name] = arr
 
     fw.barrier_columnar(passing, updates, frontier_out=int(len(passing)))
-    return VertexSubset(engine, passing.tolist())
+    return VertexSubset(engine, passing)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +443,7 @@ def run_edge_map_sparse(engine, subset, spec: EdgeMapSpec) -> VertexSubset:
     rec = fw._current
     if fw.tracer.enabled:
         fw.annotate_span(kernel=f"edge_map.scatter[{spec.kind}:{spec.reduce}]")
-    U = _subset_ids(subset)
+    U = subset.array
 
     # one op per enumerated out-edge (the C evaluation), charged to the
     # source's owner
@@ -507,7 +503,7 @@ def run_edge_map_sparse(engine, subset, spec: EdgeMapSpec) -> VertexSubset:
         reduce_pairs=(pairs // ctx.P, pairs % ctx.P),
         frontier_out=int(len(out_ids)),
     )
-    return VertexSubset(engine, out_ids.tolist())
+    return VertexSubset(engine, out_ids)
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +516,7 @@ def run_edge_map_dense(engine, subset, spec: EdgeMapSpec) -> VertexSubset:
     rec = fw._current
     if fw.tracer.enabled:
         fw.annotate_span(kernel=f"edge_map.segment[{spec.kind}:{spec.reduce}]")
-    ids = _subset_ids(subset)
+    ids = subset.array
 
     ctx.frontier_mask[ids] = True
     try:
@@ -581,7 +577,7 @@ def _dense_full(engine, ctx, state, rec, spec, ids, cmask=None) -> VertexSubset:
     fw.barrier_columnar(
         applied, {spec.prop: acc[applied]}, frontier_out=int(len(applied))
     )
-    return VertexSubset(engine, applied.tolist())
+    return VertexSubset(engine, applied)
 
 
 def _dense_unvisited(engine, ctx, state, rec, spec, ids) -> VertexSubset:
@@ -625,7 +621,7 @@ def _dense_unvisited(engine, ctx, state, rec, spec, ids) -> VertexSubset:
     fw.barrier_columnar(
         applied, {spec.prop: first_val[applied]}, frontier_out=int(len(applied))
     )
-    return VertexSubset(engine, applied.tolist())
+    return VertexSubset(engine, applied)
 
 
 def _dense_gather(engine, ctx, state, rec, spec, ids) -> VertexSubset:
@@ -656,4 +652,4 @@ def _dense_gather(engine, ctx, state, rec, spec, ids) -> VertexSubset:
     fw.barrier_columnar(
         touched, {spec.prop: new_lists}, frontier_out=int(len(touched))
     )
-    return VertexSubset(engine, touched.tolist())
+    return VertexSubset(engine, touched)

@@ -114,6 +114,44 @@ class TestFullSummaryParity:
 
 
 # ---------------------------------------------------------------------------
+# Returned subsets
+# ---------------------------------------------------------------------------
+class TestSubsetParity:
+    """Every subset a primitive returns — built from kernel arrays on the
+    vectorized backend, from Python ids on the interpreted one — holds the
+    same ids and iterates the same Python ints."""
+
+    @staticmethod
+    def _returned_subsets(monkeypatch, fn, backend, *args, **kwargs):
+        subsets = []
+        for name in ("vertex_map", "edge_map_dense", "edge_map_sparse"):
+            original = getattr(FlashEngine, name)
+
+            def record(self, *a, _original=original, **kw):
+                out = _original(self, *a, **kw)
+                subsets.append(out)
+                return out
+
+            monkeypatch.setattr(FlashEngine, name, record)
+        with use_backend(backend):
+            result = fn(*args, **kwargs)
+        monkeypatch.undo()
+        return result, subsets
+
+    @pytest.mark.parametrize("algo", [bfs, cc_basic, kcore_basic, lpa, sssp])
+    def test_returned_subsets_match(self, monkeypatch, algo, graph, weighted):
+        g = weighted if algo is sssp else graph
+        _, a = self._returned_subsets(monkeypatch, algo, "interp", g, num_workers=3)
+        res, b = self._returned_subsets(monkeypatch, algo, "vectorized", g, num_workers=3)
+        assert res.engine.metrics.backend_choices.get("vectorized", 0) > 0
+        assert len(a) == len(b) > 0
+        for x, y in zip(a, b):
+            assert list(y) == list(x)
+            assert y.size() == x.size()
+            assert all(type(v) is int for v in y)
+
+
+# ---------------------------------------------------------------------------
 # TypedVertexState
 # ---------------------------------------------------------------------------
 class TestTypedVertexState:

@@ -6,6 +6,8 @@ import pytest
 from repro import FlashEngine, Graph, ctrue, random_graph
 from repro.algorithms import INF, bfs
 from repro.algorithms.diameter import bfs_on_existing
+from repro.runtime.flashware import Flashware
+from repro.runtime.recovery import DiskCheckpointStore
 
 
 @pytest.fixture
@@ -72,6 +74,56 @@ class TestCheckpointRestore:
         engine.drop_property("x")
         engine.flashware.restore(snapshot)
         assert engine.values("x") == [0, 1, 2]
+
+
+class TestUnsyncedDebtCheckpoint:
+    """The sync debt of non-critical properties survives a checkpoint:
+    promoting a property after a restore charges what promoting it at
+    the checkpoint would have charged."""
+
+    @staticmethod
+    def _flashware():
+        fw = Flashware(random_graph(30, 70, seed=5), num_workers=4)
+        fw.state.add_property("x", 0)
+        fw.state.add_property("bag", factory=list)
+        fw.begin_superstep("vertex_map")
+        fw.barrier({v: {"x": v + 1, "bag": [v] * (v % 4 + 1)} for v in range(0, 30, 3)})
+        return fw
+
+    @staticmethod
+    def _promotion_charge(fw):
+        fw.begin_superstep("edge_map_dense")
+        fw.mark_critical(["x", "bag"])
+        fw.barrier({})
+        rec = fw.metrics.records[-1]
+        return rec.sync_messages, rec.sync_values
+
+    def _scribble_and_restore(self, fw, snapshot):
+        # more unsynced changes after the cut; the restore must drop them
+        fw.begin_superstep("vertex_map")
+        fw.barrier({v: {"x": -v - 1, "bag": [0]} for v in range(1, 30, 2)})
+        fw.restore(snapshot)
+
+    def test_promotion_charge_survives_disk_round_trip(self, tmp_path):
+        expected = self._promotion_charge(self._flashware())
+        assert expected[0] > 0 and expected[1] > expected[0]
+
+        fw = self._flashware()
+        store = DiskCheckpointStore(tmp_path)
+        store.save(1, fw.checkpoint())
+        self._scribble_and_restore(fw, store.load(1))
+        assert self._promotion_charge(fw) == expected
+
+    def test_legacy_set_snapshot_restores(self):
+        expected = self._promotion_charge(self._flashware())
+        fw = self._flashware()
+        snapshot = fw.checkpoint()
+        snapshot["unsynced"] = {
+            name: {int(v) for v in ids} for name, ids in snapshot["unsynced"].items()
+        }
+        assert snapshot["unsynced"]["x"] == set(range(0, 30, 3))
+        self._scribble_and_restore(fw, snapshot)
+        assert self._promotion_charge(fw) == expected
 
 
 class TestVectorizedCheckpoint:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Graph, random_graph
-from repro.graph.partition import PartitionMap, partition_graph
+from repro.graph.partition import PARTITION_STRATEGIES, PartitionMap, partition_graph
 
 
 @pytest.fixture
@@ -112,3 +112,31 @@ def test_partition_invariants(n, m, workers, seed):
     pm = partition_graph(g, workers)
     assert sum(pm.partition_sizes()) == n
     assert 1.0 <= pm.replication_factor() <= workers or n == 0
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 15))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40))
+    return Graph.from_edges(edges, directed=draw(st.booleans()), num_vertices=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_graphs(), workers=st.integers(1, 5),
+       strategy=st.sampled_from(PARTITION_STRATEGIES))
+def test_neighbor_mirrors_match_per_vertex_definition(g, workers, strategy):
+    """Property: the bulk neighbor-partition mask reproduces the
+    per-vertex definition — owners of out- and in-neighbors, minus the
+    vertex's own owner — on directed and undirected graphs alike."""
+    pm = partition_graph(g, workers, strategy)
+    counts = pm.neighbor_mirror_counts()
+    assert len(counts) == g.num_vertices
+    for v in range(g.num_vertices):
+        expected = {pm.owner_of(int(u)) for u in g.out_neighbors(v)}
+        expected |= {pm.owner_of(int(u)) for u in g.in_neighbors(v)}
+        expected.discard(pm.owner_of(v))
+        assert pm.neighbor_mirrors(v) == frozenset(expected)
+        assert counts[v] == len(expected)
+    total = sum(1 + len(pm.neighbor_mirrors(v)) for v in range(g.num_vertices))
+    assert pm.replication_factor() == total / g.num_vertices
