@@ -10,8 +10,8 @@ streams the graph's arcs from disk.  This module owns the disk format:
   layout, applied to the pull direction our dense kernels scan);
 * each non-empty block is persisted as plain ``.npy`` shards (``src``,
   ``dst``, ``pos`` — the arc's global in-CSR position — and ``w`` when
-  the graph is weighted), opened with ``mmap_mode="r"`` so the OS pages
-  arcs in on demand;
+  the graph is weighted), memory-mapped read-only so the OS pages arcs
+  in on demand;
 * a JSON ``manifest.json`` records the layout (format version, interval
   size, per-block arc/byte counts) plus a checksum, and the resident
   O(|V|) side arrays (degrees) ride along as ``.npy`` files.
@@ -28,8 +28,10 @@ that were never resident (built by :func:`build_block_store_streamed`).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import mmap
 import os
 import shutil
 import zlib
@@ -56,15 +58,38 @@ def default_interval(num_vertices: int) -> int:
     return max(256, math.ceil(max(num_vertices, 1) / 16))
 
 
-def _close_mmap(array: np.ndarray) -> None:
-    """Release the file mapping behind a ``np.load(mmap_mode=...)``
-    array so its descriptor closes now, not at GC time."""
-    mm = getattr(array, "_mmap", None)
-    if mm is not None:
-        try:
-            mm.close()
-        except (BufferError, ValueError):  # still referenced elsewhere
-            pass
+#: dtype every shard of a block is written with, by shard name.
+_SHARD_DTYPES = {
+    "src": np.dtype(np.int64),
+    "dst": np.dtype(np.int64),
+    "pos": np.dtype(np.int64),
+    "w": np.dtype(np.float64),
+}
+
+
+def _read_shard_header(path: str, name: str, arcs: int) -> bytes:
+    """Parse a shard's ``.npy`` header with numpy's own format reader and
+    return its raw bytes (magic through padding).  Raises ``ValueError``
+    naming the file unless the shard is the 1-D, ``arcs``-long array of
+    its expected dtype that the manifest records."""
+    fmt = np.lib.format
+    with open(path, "rb") as f:
+        version = fmt.read_magic(f)
+        if version == (1, 0):
+            shape, _fortran, dtype = fmt.read_array_header_1_0(f)
+        elif version == (2, 0):
+            shape, _fortran, dtype = fmt.read_array_header_2_0(f)
+        else:
+            raise ValueError(f"{path}: unsupported .npy format version {version}")
+        size = f.tell()
+        f.seek(0)
+        raw = f.read(size)
+    if dtype != _SHARD_DTYPES[name] or shape != (arcs,):
+        raise ValueError(
+            f"{path}: shard is {dtype}{list(shape)}, manifest expects "
+            f"{_SHARD_DTYPES[name]}[{arcs}]"
+        )
+    return raw
 
 
 @dataclass(frozen=True)
@@ -78,22 +103,30 @@ class BlockMeta:
 
 
 class Block:
-    """One loaded (memory-mapped) block's parallel arc arrays."""
+    """One loaded (memory-mapped) block's parallel arc arrays, and the
+    ``mmap`` handles behind them."""
 
-    __slots__ = ("meta", "src", "dst", "pos", "w")
+    __slots__ = ("meta", "src", "dst", "pos", "w", "_maps")
 
-    def __init__(self, meta: BlockMeta, src, dst, pos, w=None):
+    def __init__(self, meta: BlockMeta, src, dst, pos, w=None, maps=()):
         self.meta = meta
         self.src = src
         self.dst = dst
         self.pos = pos
         self.w = w
+        self._maps = maps
 
-    def arrays(self) -> List[np.ndarray]:
-        out = [self.src, self.dst, self.pos]
-        if self.w is not None:
-            out.append(self.w)
-        return out
+    def close(self) -> None:
+        """Drop the arrays and unmap the shards.  A mapping a caller
+        still holds a view of stays until that view is freed (closing
+        it under the view would leave the view dangling)."""
+        self.src = self.dst = self.pos = self.w = None
+        for mm in self._maps:
+            try:
+                mm.close()
+            except BufferError:  # a view is still alive
+                pass
+        self._maps = ()
 
 
 def _manifest_checksum(core: Dict) -> int:
@@ -346,6 +379,12 @@ class BlockStore:
             (b["di"], b["si"]): BlockMeta(b["di"], b["si"], b["arcs"], b["bytes"])
             for b in manifest["blocks"]
         }
+        rows: List[List[BlockMeta]] = [[] for _ in range(self.num_intervals)]
+        for key in sorted(self._meta):
+            rows[key[0]].append(self._meta[key])
+        self._rows: List[Tuple[BlockMeta, ...]] = [tuple(r) for r in rows]
+        #: Per shard path: its header bytes, checked on the first map.
+        self._headers: Dict[str, bytes] = {}
         self.total_bytes: int = sum(m.bytes for m in self._meta.values())
         self.budget: int = DEFAULT_BUDGET if budget is None else max(1, int(budget))
         self._cache: "OrderedDict[Tuple[int, int], Block]" = OrderedDict()
@@ -362,11 +401,9 @@ class BlockStore:
     def block_meta(self, di: int, si: int) -> Optional[BlockMeta]:
         return self._meta.get((di, si))
 
-    def row_metas(self, di: int) -> List[BlockMeta]:
+    def row_metas(self, di: int) -> Tuple[BlockMeta, ...]:
         """Non-empty blocks of destination row ``di``, ascending ``si``."""
-        return [
-            m for (d, _s), m in sorted(self._meta.items()) if d == di
-        ]
+        return self._rows[di] if 0 <= di < self.num_intervals else ()
 
     @property
     def mapped_bytes(self) -> int:
@@ -392,12 +429,7 @@ class BlockStore:
         meta = self._meta.get(key)
         if meta is None:
             raise KeyError(f"no block at {key}")
-        stem = self.directory / "blocks" / _block_stem(di, si)
-        src = np.load(f"{stem}.src.npy", mmap_mode="r")
-        dst = np.load(f"{stem}.dst.npy", mmap_mode="r")
-        pos = np.load(f"{stem}.pos.npy", mmap_mode="r")
-        w = np.load(f"{stem}.w.npy", mmap_mode="r") if self.weighted else None
-        block = Block(meta, src, dst, pos, w)
+        block = self._map_block(meta)
         self._cache[key] = block
         self._mapped_bytes += meta.bytes
         self.blocks_loaded += 1
@@ -407,16 +439,55 @@ class BlockStore:
             _key, evicted = self._cache.popitem(last=False)
             self._mapped_bytes -= evicted.meta.bytes
             self.blocks_evicted += 1
-            for arr in evicted.arrays():
-                _close_mmap(arr)
+            evicted.close()
         return block, False
+
+    def _map_block(self, meta: BlockMeta) -> Block:
+        stem = str(self.directory / "blocks" / _block_stem(meta.di, meta.si))
+        names = ("src", "dst", "pos", "w") if self.weighted else ("src", "dst", "pos")
+        shards: List[Tuple[mmap.mmap, int]] = []
+        try:
+            for name in names:
+                shards.append(self._map_shard(f"{stem}.{name}.npy", name, meta.arcs))
+        except BaseException:
+            for mm, _offset in shards:
+                mm.close()
+            raise
+        arrays = [
+            np.frombuffer(mm, _SHARD_DTYPES[name], count=meta.arcs, offset=offset)
+            for name, (mm, offset) in zip(names, shards)
+        ]
+        return Block(meta, *arrays, maps=[mm for mm, _offset in shards])
+
+    def _map_shard(self, path: str, name: str, arcs: int) -> Tuple[mmap.mmap, int]:
+        """Map one shard read-only; returns the map and the data offset.
+        The header is parsed and checked against the manifest on the
+        shard's first map only; later maps compare its raw bytes."""
+        raw = self._headers.get(path)
+        if raw is None:
+            raw = self._headers[path] = _read_shard_header(path, name, arcs)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # empty file
+            raise ValueError(f"{path}: {exc}") from exc
+        finally:
+            os.close(fd)
+        size = len(raw) + arcs * _SHARD_DTYPES[name].itemsize
+        if len(mm) != size:
+            problem = f"{len(mm)} bytes on disk, expected {size}"
+        elif mm[: len(raw)] != raw:
+            problem = "header changed since first map"
+        else:
+            return mm, len(raw)
+        mm.close()
+        raise ValueError(f"{path}: {problem}")
 
     def release(self) -> None:
         """Unmap every cached block (keeps the store usable)."""
         while self._cache:
             _key, evicted = self._cache.popitem(last=False)
-            for arr in evicted.arrays():
-                _close_mmap(arr)
+            evicted.close()
         self._mapped_bytes = 0
 
     def close(self) -> None:
@@ -453,6 +524,7 @@ class BlockGraph:
         self.store = store
         self._out_degrees = store.out_degrees()
         self._in_degrees = store.in_degrees()
+        self._partition_masks: Dict[Tuple[int, bytes], np.ndarray] = {}
 
     # -- Graph surface -------------------------------------------------
     @property
@@ -540,7 +612,24 @@ class BlockGraph:
         vertex ``v``.  One streaming pass over all blocks — the bulk
         replacement for the per-vertex adjacency scan
         :class:`~repro.graph.partition.PartitionMap` would otherwise
-        need (prohibitive through block-paged adjacency)."""
+        need (prohibitive through block-paged adjacency).
+
+        The pass runs once per ``(num_partitions, owner)``: later calls
+        with the same partitioning (every engine built over this graph
+        with the same workers and strategy) reuse it.  Each call returns
+        a fresh copy, as :class:`PartitionMap` edits the mask in place."""
+        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        key = (int(num_partitions), hashlib.blake2b(owner).digest())
+        mask = self._partition_masks.get(key)
+        if mask is None:
+            mask = self._partition_masks[key] = self._stream_partition_mask(
+                owner, num_partitions
+            )
+        return mask.copy()
+
+    def _stream_partition_mask(
+        self, owner: np.ndarray, num_partitions: int
+    ) -> np.ndarray:
         n = self.num_vertices
         mask = np.zeros((n, num_partitions), dtype=bool)
         store = self.store

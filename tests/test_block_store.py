@@ -2,11 +2,14 @@
 block-paged :class:`BlockGraph` adjacency surface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro import Graph, random_graph
+from repro.algorithms import bfs
+from repro.core.engine import FlashEngine
 from repro.graph.blocks import (
     BLOCK_FORMAT_VERSION,
     BlockGraph,
@@ -15,6 +18,7 @@ from repro.graph.blocks import (
     build_block_store_streamed,
     default_interval,
 )
+from repro.graph.partition import partition_graph
 
 
 @pytest.fixture()
@@ -91,6 +95,71 @@ class TestFormat:
         with pytest.raises(ValueError, match="format v99 not supported"):
             BlockStore(tmp_path / "b")
 
+    def test_truncated_shard_rejected(self, graph, tmp_path):
+        s = build_block_store(graph, tmp_path / "b", interval=8)
+        s.close()
+        path = tmp_path / "b" / "blocks" / "b0_0.pos.npy"
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        store = BlockStore(tmp_path / "b")
+        try:
+            with pytest.raises(ValueError, match="b0_0.pos.npy"):
+                store.get(0, 0)
+        finally:
+            store.close()
+
+    def test_truncated_after_first_map_rejected(self, store):
+        store.get(0, 0)
+        store.release()
+        path = store.directory / "blocks" / "b0_0.dst.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="b0_0.dst.npy.*bytes on disk"):
+            store.get(0, 0)
+
+    def test_length_mismatched_shard_rejected(self, store):
+        """A well-formed ``.npy`` shard whose length disagrees with the
+        manifest's arc count is refused on first map."""
+        path = store.directory / "blocks" / "b0_0.src.npy"
+        np.save(path, np.load(path)[:-1])
+        with pytest.raises(ValueError, match="b0_0.src.npy.*manifest expects"):
+            store.get(0, 0)
+        assert store.mapped_bytes == 0 and store.blocks_loaded == 0
+
+    def test_wrong_dtype_shard_rejected(self, store):
+        path = store.directory / "blocks" / "b0_0.src.npy"
+        np.save(path, np.load(path).astype(np.int32))
+        with pytest.raises(ValueError, match="b0_0.src.npy.*int32"):
+            store.get(0, 0)
+
+    def test_header_rewritten_between_maps_rejected(self, store):
+        """Same size on disk, different header: caught by the byte
+        compare against the header cached on the first map."""
+        store.get(0, 0)
+        store.release()
+        path = store.directory / "blocks" / "b0_0.pos.npy"
+        size = path.stat().st_size
+        np.save(path, np.load(path).view(np.uint64))
+        assert path.stat().st_size == size
+        with pytest.raises(ValueError, match="b0_0.pos.npy.*header changed"):
+            store.get(0, 0)
+
+    def test_trimmed_block_fails_oocore_bfs(self, tmp_path):
+        """Trimming arcs from every shard of one block (consistently, so
+        each shard is a valid ``.npy``) must fail the solve, not let it
+        finish with wrong values."""
+        g = random_graph(200, 800, seed=5)
+        store = build_block_store(g, tmp_path / "b", interval=64)
+        try:
+            for name in ("src", "dst", "pos"):
+                path = tmp_path / "b" / "blocks" / f"b0_0.{name}.npy"
+                np.save(path, np.load(path)[:-5])
+            with pytest.raises(ValueError, match="manifest expects"):
+                with FlashEngine(BlockGraph(store), num_workers=2,
+                                 backend="oocore") as eng:
+                    bfs(eng, root=0)
+        finally:
+            store.close()
+
     def test_default_interval_floor(self):
         assert default_interval(10) == 256
         assert default_interval(16 * 300) == 300
@@ -120,6 +189,57 @@ class TestBudget:
         _, hit2 = store.get(meta.di, meta.si)
         assert not hit1 and hit2
         assert store.blocks_loaded == 1
+
+    def test_remap_cycles_match_np_load(self, graph, tmp_path):
+        """Every block mapped, evicted and re-mapped under a 1-byte budget
+        reads back exactly what ``np.load`` reads from its shards."""
+        weighted = Graph.from_edges(
+            graph.edges(), weights=np.linspace(0.5, 2.0, graph.num_edges)
+        )
+        for g, name in ((graph, "plain"), (weighted, "weighted")):
+            store = build_block_store(g, tmp_path / name, interval=8)
+            store.budget = 1
+            shards = ("src", "dst", "pos", "w") if g.weighted else ("src", "dst", "pos")
+            try:
+                for _cycle in range(3):
+                    for di in range(store.num_intervals):
+                        for meta in store.row_metas(di):
+                            block, hit = store.get(meta.di, meta.si)
+                            assert not hit
+                            stem = store.directory / "blocks" / f"b{meta.di}_{meta.si}"
+                            for shard in shards:
+                                expected = np.load(f"{stem}.{shard}.npy")
+                                got = getattr(block, shard)
+                                assert got.dtype == expected.dtype
+                                assert not got.flags.writeable
+                                assert np.array_equal(got, expected)
+                assert store.blocks_evicted == store.blocks_loaded - 1
+            finally:
+                store.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_open_fds_bounded_and_released(self, graph, store):
+        """The store owns its ``mmap`` handles: a 1-byte-budget scan
+        holds one block's shards open at a time, even while the caller
+        keeps every evicted ``Block`` object, and ``close()`` returns the
+        descriptor count to where it started."""
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        baseline = open_fds()
+        store.budget = 1
+        peak = baseline
+        held = []
+        for _cycle in range(2):
+            for di in range(store.num_intervals):
+                for meta in store.row_metas(di):
+                    held.append(store.get(meta.di, meta.si)[0])
+                    peak = max(peak, open_fds())
+        assert store.blocks_loaded > store.num_intervals
+        assert peak <= baseline + 3  # src, dst, pos of the one cached block
+        store.close()
+        assert open_fds() == baseline
 
     def test_close_idempotent(self, graph, tmp_path):
         store = build_block_store(graph, tmp_path / "b", interval=8)
@@ -170,6 +290,52 @@ class TestBlockGraph:
             nbrs = set(owner[graph.out_neighbors(v)].tolist())
             nbrs.update(owner[graph.in_neighbors(v)].tolist())
             assert set(np.flatnonzero(mask[v]).tolist()) == nbrs, v
+
+
+    def test_partition_mask_built_once_per_partitioning(self, graph, store):
+        """A second engine over the same BlockGraph reuses the mask: no
+        block is loaded while it is constructed, and its necessary
+        mirrors equal those of a freshly streamed mask."""
+        bg = BlockGraph(store)
+        resident = partition_graph(graph, 3)
+
+        def mirrors(eng):
+            part = eng.flashware.partition
+            return [part.neighbor_mirrors(v) for v in range(graph.num_vertices)]
+
+        with FlashEngine(bg, num_workers=3, backend="oocore") as first:
+            assert mirrors(first) == [resident.neighbor_mirrors(v)
+                                      for v in range(graph.num_vertices)]
+        loaded = store.blocks_loaded
+        assert loaded > 0
+        with FlashEngine(bg, num_workers=3, backend="oocore") as second:
+            assert store.blocks_loaded == loaded
+            assert mirrors(second) == mirrors(first)
+            owner = second.flashware.partition.owners()
+            cached = bg.neighbor_partition_mask(owner, 3)
+            assert np.array_equal(cached, bg._stream_partition_mask(owner, 3))
+            # callers get a copy: editing it leaves the cached mask intact
+            cached[:] = False
+            assert bg.neighbor_partition_mask(owner, 3).any()
+
+    @pytest.mark.parametrize("kwargs", [{"num_workers": 2},
+                                        {"partition_strategy": "chunk"}])
+    def test_partition_mask_recomputed_for_new_partitioning(
+        self, graph, store, kwargs
+    ):
+        bg = BlockGraph(store)
+        with FlashEngine(bg, num_workers=3, backend="oocore"):
+            pass
+        loaded = store.blocks_loaded
+        config = {"num_workers": 3, **kwargs}
+        with FlashEngine(bg, backend="oocore", **config) as eng:
+            assert store.blocks_loaded > loaded
+            resident = partition_graph(
+                graph, config["num_workers"], kwargs.get("partition_strategy", "hash")
+            )
+            part = eng.flashware.partition
+            assert [part.neighbor_mirrors(v) for v in range(graph.num_vertices)] \
+                == [resident.neighbor_mirrors(v) for v in range(graph.num_vertices)]
 
 
 # ---------------------------------------------------------------------------
