@@ -26,20 +26,6 @@ from repro.algorithms.common import AlgorithmResult, make_engine
 from repro.core.engine import FlashEngine
 from repro.core.primitives import bind, ctrue
 from repro.graph.graph import Graph
-from repro.runtime.vectorized.specs import EdgeMapSpec
-
-# The forest-BFS hop advance: a write-once visit (C: ``dis == -1``)
-# where every frontier source offers ``dis + 1``.  All offers within a
-# superstep are equal (one BFS level), so keeping the last-arriving temp
-# — what the interpreted ``return t`` fold does — is deterministic;
-# ``reduce="last"`` declares that contract.
-_BFS_SPEC = EdgeMapSpec(
-    prop="dis",
-    reduce="last",
-    value=lambda k: k.sp("dis") + 1,
-    cond_unvisited=-1,
-    reads=("dis",),
-)
 
 
 def bcc(
@@ -121,8 +107,7 @@ def bcc(
     frontier = eng.vertex_map(eng.V, filter_root, local1, label="bcc:roots")
     while eng.size(frontier) != 0:
         frontier = eng.edge_map(
-            frontier, eng.E, ctrue, update2, cond2, r2,
-            label="bcc:bfs", spec=_BFS_SPEC,
+            frontier, eng.E, ctrue, update2, cond2, r2, label="bcc:bfs"
         )
     eng.edge_map(eng.V, eng.E, f3, update3, cond3, r3, label="bcc:parent")
 

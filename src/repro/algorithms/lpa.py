@@ -20,6 +20,7 @@ from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
 
+# Hand spec: explain_vertex refuses it ("expression List").
 _INIT_SPEC = VertexMapSpec(
     map=lambda k: {"c": k.ids, "cc": k.ids, "inbox": [[] for _ in range(len(k))]},
     raw_reads=("inbox",),
@@ -27,17 +28,12 @@ _INIT_SPEC = VertexMapSpec(
 )
 # Gossip: append the source's label to every neighbor's inbox (a gather
 # into the list-valued column, pull mode).
+# Hand spec: explain_edge refuses it ("statement Expr").
 _GOSSIP_SPEC = EdgeMapSpec(
     prop="inbox",
     kind="gather",
     value=lambda k: k.sp("c"),
     reads=("c",),
-)
-_COMMIT_SPEC = VertexMapSpec(
-    filter=lambda k: k.p("c") != k.p("cc"),
-    map=lambda k: {"c": k.p("cc")},
-    reads=("c", "cc"),
-    writes=("c",),
 )
 
 
@@ -74,6 +70,7 @@ def _tally(batch) -> Dict[str, object]:
     return {"cc": cc_new, "inbox": [[] for _ in range(len(lists))]}
 
 
+# Hand spec: explain_vertex refuses local1 ("assignment to a non-property target").
 _TALLY_SPEC = VertexMapSpec(
     map=_tally, reads=("c", "cc"), raw_reads=("inbox",), writes=("cc", "inbox")
 )
@@ -137,7 +134,7 @@ def lpa(
             label="lpa:gossip", spec=_GOSSIP_SPEC,
         )
         moved = eng.vertex_map(moved, ctrue, local1, label="lpa:tally", spec=_TALLY_SPEC)
-        moved = eng.vertex_map(eng.V, changed, local2, label="lpa:commit", spec=_COMMIT_SPEC)
+        moved = eng.vertex_map(eng.V, changed, local2, label="lpa:commit")
         if eng.size(moved) == 0:
             break
     return AlgorithmResult(

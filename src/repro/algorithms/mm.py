@@ -30,6 +30,7 @@ from repro.runtime.vectorized.specs import EdgeMapSpec
 # deterministic — ``reduce="last"`` declares that contract.  Virtual
 # edge sets never dispatch vectorized; the spec is the kernel's access
 # declaration (and lint/speccheck input) only.
+# Hand spec: explain_edge accepts it, but synthesis runs only over the plain E.
 _MATCH_SPEC = EdgeMapSpec(
     prop="s",
     reduce="last",

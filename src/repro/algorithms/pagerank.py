@@ -20,6 +20,7 @@ from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
 # Rank scatter: every edge carries ``rank / out_degree`` into the
 # target's accumulator.  ``sum`` is applied in arc order, so float
 # results match the interpreted sequential fold bit-for-bit.
+# Hand spec: explain_edge refuses it ("assignment to a non-property target").
 _SCATTER_SPEC = EdgeMapSpec(
     prop="acc",
     reduce="sum",
@@ -64,6 +65,7 @@ def pagerank(
             v.acc = 0.0
             return v
 
+        # Hand spec: explain_vertex refuses it ("unresolvable name 'extra'").
         apply_spec = VertexMapSpec(
             map=lambda k, extra=dangling_mass: {
                 "rank": (1.0 - damping) / n + damping * (k.p("acc") + extra),

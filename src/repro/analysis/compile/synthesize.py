@@ -41,10 +41,12 @@ that is sound (sparse) and the kernel is refused where it is not
 from __future__ import annotations
 
 import ast
+import types
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.compile.exprs import (
+    _CONST_TYPES,
     Binary,
     BoolOp,
     Compare,
@@ -149,12 +151,29 @@ def _prepare(fn: Callable, roles: Tuple[str, ...]):
     return body, env, resolve
 
 
+_OPAQUE = object()
+
+
+def _value_key(value: Any) -> Any:
+    """What lowering can make of a bound or captured value: a constant
+    becomes a ``Const`` (keyed with its type — ``0`` and ``0.0`` lower to
+    different dtypes), a builtin function or type may be a recognized
+    callee (keyed by identity), and anything else is refused whatever
+    it is."""
+    if isinstance(value, _CONST_TYPES):
+        return (type(value), value)
+    if isinstance(value, (types.BuiltinFunctionType, type)):
+        return value
+    return _OPAQUE
+
+
 def _cache_key(kind: str, *fns: Optional[Callable]) -> Optional[Tuple]:
     """A memoization key covering everything synthesis consults: code
-    objects, ``partial`` leading counts, and the concrete trailing bound
-    values (they become ``Const`` nodes, so two binds with different
-    values must not share a spec).  ``None`` when a bound value is
-    unhashable — the result is then simply not cached."""
+    objects, ``partial`` leading counts, and every value lowering may
+    fold in — the trailing bound values and whatever the code's
+    closure/global names resolve to (two closures of one code object
+    over different constants must not share a spec).  ``None`` when a
+    function has no code object."""
     parts: List[Any] = [kind]
     for fn in fns:
         if fn is None:
@@ -164,11 +183,12 @@ def _cache_key(kind: str, *fns: Optional[Callable]) -> Optional[Tuple]:
         code = getattr(inner, "__code__", None)
         if code is None:
             return None
-        try:
-            hash(trailing)
-        except TypeError:
-            return None
-        parts.append((code, leading, trailing))
+        env = []
+        for name in code.co_freevars + code.co_names:
+            found, value = _resolve_name(inner, name)
+            env.append(_value_key(value) if found else None)
+        bound = tuple(_value_key(v) for v in trailing)
+        parts.append((code, leading, bound, tuple(env)))
     return tuple(parts)
 
 

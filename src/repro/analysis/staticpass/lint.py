@@ -351,13 +351,16 @@ def _lint_graph(app: str):
 
 def lint_app(app: str, num_workers: int = 2) -> List[Finding]:
     """Run every FLASH variant of ``app`` on a small graph under a
-    program capture and lint the result."""
+    program capture and lint the result.  The variants run on the
+    vectorized backend, so each kernel reports the spec it dispatches
+    with — hand-written or synthesized."""
+    from repro.runtime.vectorized.dispatch import use_backend
     from repro.suite import _FLASH_VARIANTS, APPS
 
     if app not in APPS:
         raise ValueError(f"unknown app {app!r}; expected one of {APPS}")
     graph = _lint_graph(app)
-    with capture_program() as capture:
+    with use_backend("vectorized"), capture_program() as capture:
         for variant in _FLASH_VARIANTS[app]:
             variant(graph, num_workers)
     return lint_capture(capture, app=app)

@@ -38,17 +38,22 @@ of that analysis:
     surfaced as an engine diagnostic.
 
 ``compile``
-    The static kernel compiler (:mod:`repro.analysis.compile`): the
-    ahead-of-time pass runs exactly as under ``static``, and on top of
-    it (1) analyzable F/M/C/R functions are compiled into vectorized
-    kernel specs automatically (per-kernel fallback to interp when any
-    slot resists), and (2) the per-kernel read/write sets feed a
+    The ahead-of-time pass runs exactly as under ``static``; on top of
+    it the per-kernel read/write sets feed a
     :class:`~repro.analysis.compile.commplan.CommunicationPlan` that the
-    mp executor uses to withhold mirror deltas no kernel can read.
+    mp executor uses to withhold mirror deltas no kernel can read, and
+    each kernel's dispatch decision is recorded for the ``repro plan``
+    artifact (``engine.kernel_plan``).
 
 ``off``
     No analysis (``FlashEngine(auto_analyze=False)``) — nothing is ever
     marked critical.
+
+Spec synthesis (:mod:`repro.analysis.compile.synthesize`) is not tied
+to a mode: on a columnar backend (``vectorized`` / ``oocore``) every
+kernel without a hand-written spec has its analyzable F/M/C/R
+functions compiled into a kernel spec (per-kernel fallback to interp
+when any slot resists), whichever mode is selected.
 
 The mode is per-engine (``FlashEngine(analysis=...)``), defaulting to
 the ambient mode set with :func:`use_analysis` — mirroring how nested

@@ -327,40 +327,30 @@ class FlashEngine:
         _program.record_diagnostic(message)
 
     # ------------------------------------------------------------------
-    # Static kernel compiler (analysis="compile")
+    # Spec resolution and the one dispatch path
     # ------------------------------------------------------------------
-    def _compile_vertex_spec(self, spec, F, M):
-        """Under ``analysis="compile"`` on a vectorizing backend, fill a
-        missing spec (or, under ``_synth_force``, replace the hand one)
-        with a synthesized spec.  Returns ``(spec, origin)`` where origin
-        is ``"hand"``, ``"synthesized"`` or ``None`` (interp)."""
-        if self.analysis != "compile" or not self._columnar:
-            return spec, ("hand" if spec is not None else None)
-        if spec is not None and not self._synth_force:
-            return spec, "hand"
-        from repro.analysis.compile.synthesize import synthesize_vertex_spec
-
-        synth = synthesize_vertex_spec(F, M)
-        if synth is not None:
-            return synth, "synthesized"
-        return spec, ("hand" if spec is not None else None)
-
-    def _compile_edge_spec(self, kind, spec, edges, F, M, C, R):
-        """Edge-kernel counterpart of :meth:`_compile_vertex_spec`.
+    def _resolve_spec(self, kind, spec, edges, F, M, C, R):
+        """The spec a superstep dispatches with and its origin
+        (``"hand"``, ``"synthesized"`` or ``None``).  On a columnar
+        backend a missing spec is synthesized from the user functions in
+        every analysis mode; under ``_synth_force`` (compile-mode
+        cross-validation) a synthesized spec replaces the hand one.
         Synthesis only applies to the plain edge set ``E`` — constructed
-        edge sets never dispatch vectorized anyway."""
-        if self.analysis != "compile" or not self._columnar:
-            return spec, ("hand" if spec is not None else None)
-        if spec is not None and not self._synth_force:
-            return spec, "hand"
-        if type(edges) is not BaseEdges:
-            return spec, ("hand" if spec is not None else None)
-        from repro.analysis.compile.synthesize import synthesize_edge_spec
+        edge sets never dispatch columnar anyway."""
+        hand = (spec, "hand" if spec is not None else None)
+        if (
+            not self._columnar
+            or (spec is not None and not self._synth_force)
+            or (edges is not None and type(edges) is not BaseEdges)
+        ):
+            return hand
+        from repro.analysis.compile import synthesize as _synth
 
-        synth = synthesize_edge_spec(kind, F, M, C, R)
-        if synth is not None:
-            return synth, "synthesized"
-        return spec, ("hand" if spec is not None else None)
+        if edges is None:
+            synth = _synth.synthesize_vertex_spec(F, M)
+        else:
+            synth = _synth.synthesize_edge_spec(kind, F, M, C, R)
+        return hand if synth is None else (synth, "synthesized")
 
     def _note_plan(self, kind, label, origin, spec, dispatched) -> None:
         """Record one kernel's dispatch decision for the plan artifact
@@ -396,18 +386,75 @@ class FlashEngine:
         """Run one superstep on the columnar kernel ``kernel``.  The name
         is looked up on the oocore or vectorized kernel module at call
         time, so each backend's entry points can be wrapped on their own."""
-        fw = self.flashware
         name = "oocore" if self._oocore else "vectorized"
         self.metrics.note_backend(name)
-        fw.annotate_span(backend=name)
+        self.flashware.annotate_span(backend=name)
         if spec_origin == "synthesized":
-            fw.annotate_span(spec="synthesized")
-        runner = getattr(_ooc if self._oocore else _vec, kernel)
+            self.flashware.annotate_span(spec="synthesized")
+        return getattr(_ooc if self._oocore else _vec, kernel)(self, *args)
+
+    def _dispatch(
+        self, kind, subset, edges, fns, label, spec, issuer=None
+    ) -> VertexSubset:
+        """Run primitive ``kind`` as one superstep.  ``fns`` holds its
+        user functions in slot order (``F, M`` for VERTEXMAP, then ``C``
+        and, for the push kernel, ``R``); ``edges`` is ``None`` for
+        VERTEXMAP.  The superstep runs on the columnar kernel when a
+        (hand or synthesized) spec applies, else on the interpreted loop
+        — in this process, or on the worker processes under
+        ``executor='mp'`` — whose ``(out, updates, contributors)`` the
+        barrier commits."""
+        fw = self.flashware
+        primitive, mode, interp = _PRIMITIVES[kind]
+        F, M, C, R = fns + (None,) * (4 - len(fns))
+        if edges is not None:
+            edges.prepare(self)
+        fw.begin_superstep(kind, label, frontier_in=subset.size())
+        if fw.tracer.enabled:
+            names = {"primitive": issuer or primitive}
+            if mode is not None:
+                names["mode"] = mode
+            names.update(zip("FMCR", map(fn_label, fns)))
+            fw.annotate_span(**names)
+        spec, spec_origin = self._resolve_spec(kind, spec, edges, F, M, C, R)
+        if self.auto_analyze and self.analysis != "off":
+            if edges is None:
+                classification = analyze_vertex_map(
+                    self, subset, F, M, label=label, spec=spec
+                )
+            else:
+                classification = analyze_edge_map(
+                    self, kind, subset, edges, F, M, C, R, label=label, spec=spec
+                )
+            if spec is not None:
+                validate_spec(self, kind, spec, classification)
+        use_col = spec is not None and self._columnar and (
+            _vec.vertex_map_supported(self, spec, F, M)
+            if edges is None
+            else (mode == "dense" or spec.kind == "reduce")
+            and _vec.edge_map_supported(self, edges, spec, mode, F, C)
+        )
+        self._note_plan(kind, label, spec_origin, spec, use_col)
         try:
-            return runner(self, *args)
+            if use_col:
+                args = (subset, F, M, spec) if edges is None else (subset, spec)
+                return self._run_columnar("run_" + kind, spec_origin, *args)
+            self.metrics.note_backend("interp")
+            fw.annotate_span(backend="interp")
+            args = (subset,) + fns if edges is None else (subset, edges) + fns
+            dist = self._dist
+            run = interp if dist is None else getattr(dist, "run_" + kind)
+            out, updates, contributors = run(self, *args)
         except Exception:
             fw.abort_superstep()
             raise
+        fw.barrier(
+            updates,
+            contributors,
+            broadcast_all=edges is not None and not edges.within_graph,
+            frontier_out=len(out),
+        )
+        return VertexSubset(self, out)
 
     # ------------------------------------------------------------------
     # SIZE
@@ -431,61 +478,10 @@ class FlashEngine:
         the subset of vertices that passed ``F``.
 
         ``spec`` optionally declares the superstep's computation for the
-        vectorized backend; it is ignored on the interpreted backend and
-        whenever it cannot be applied (fallback rules in
-        ``docs/performance.md``)."""
-        fw = self.flashware
-        fw.begin_superstep("vertex_map", label, frontier_in=subset.size())
-        if fw.tracer.enabled:
-            fw.annotate_span(primitive="VERTEXMAP", F=fn_label(F), M=fn_label(M))
-        spec, spec_origin = self._compile_vertex_spec(spec, F, M)
-        if self.auto_analyze and self.analysis != "off":
-            classification = analyze_vertex_map(
-                self, subset, F, M, label=label, spec=spec
-            )
-            if spec is not None:
-                validate_spec(self, "vertex_map", spec, classification)
-        use_col = (
-            spec is not None
-            and self._columnar
-            and _vec.vertex_map_supported(self, spec, F, M)
-        )
-        self._note_plan("vertex_map", label, spec_origin, spec, use_col)
-        if use_col:
-            return self._run_columnar("run_vertex_map", spec_origin, subset, F, M, spec)
-        self.metrics.note_backend("interp")
-        fw.annotate_span(backend="interp")
-        if self._dist is not None:
-            try:
-                d_out, d_updates = self._dist.run_vertex_map(self, subset, F, M)
-            except Exception:
-                fw.abort_superstep()
-                raise
-            fw.barrier(d_updates, None, broadcast_all=False, frontier_out=len(d_out))
-            return VertexSubset(self, d_out)
-        out: List[int] = []
-        updates: Dict[int, Dict[str, Any]] = {}
-        try:
-            for vid in subset:
-                worker = self._owner(vid)
-                view = WorkingView(self, vid)
-                if F is not None:
-                    fw.charge_ops(worker, 1)
-                    if not F(view):
-                        continue
-                if M is not None:
-                    fw.charge_ops(worker, 1)
-                    result = M(view)
-                    if isinstance(result, WorkingView):
-                        view = result
-                out.append(vid)
-                if view.staged:
-                    updates[vid] = dict(view.staged)
-        except Exception:
-            fw.abort_superstep()
-            raise
-        fw.barrier(updates, None, broadcast_all=False, frontier_out=len(out))
-        return VertexSubset(self, out)
+        columnar backends, which otherwise synthesize one from ``F`` and
+        ``M``; it is ignored on the interpreted backend and whenever it
+        cannot be applied (fallback rules in ``docs/performance.md``)."""
+        return self._dispatch("vertex_map", subset, None, (F, M), label, spec)
 
     # ------------------------------------------------------------------
     # EDGEMAP (Algorithms 4-6)
@@ -508,16 +504,14 @@ class FlashEngine:
         The mode decision depends only on topology and frontier size, so
         it is identical on every backend; ``spec`` rides along to the
         chosen kernel."""
+        sparse = R is not None and (
+            self._out_work(edges, subset) + subset.size() <= self.dense_threshold
+        )
+        self.metrics.note_mode("sparse" if sparse else "dense")
         self._issuer = "EDGEMAP"
-        if R is None:
-            self.metrics.note_mode("dense")
-            return self.edge_map_dense(subset, edges, F, M, C, label=label, spec=spec)
-        work = self._out_work(edges, subset) + subset.size()
-        if work > self.dense_threshold:
-            self.metrics.note_mode("dense")
-            return self.edge_map_dense(subset, edges, F, M, C, label=label, spec=spec)
-        self.metrics.note_mode("sparse")
-        return self.edge_map_sparse(subset, edges, F, M, C, R, label=label, spec=spec)
+        if sparse:
+            return self.edge_map_sparse(subset, edges, F, M, C, R, label=label, spec=spec)
+        return self.edge_map_dense(subset, edges, F, M, C, label=label, spec=spec)
 
     def _out_work(self, edges: EdgeSet, subset: VertexSubset) -> int:
         """``edges.out_work`` with a bulk fast path for the plain edge
@@ -541,99 +535,12 @@ class FlashEngine:
         """The pull kernel (Algorithm 5): every candidate target scans its
         in-neighbors in the active set and applies ``M`` sequentially to
         its own working copy, stopping early when ``C`` fails."""
+        issuer, self._issuer = self._issuer, None
         if M is None:
             raise FlashUsageError("edge_map_dense requires a map function M")
-        fw = self.flashware
-        issuer, self._issuer = self._issuer, None
-        edges.prepare(self)
-        fw.begin_superstep("edge_map_dense", label, frontier_in=subset.size())
-        if fw.tracer.enabled:
-            fw.annotate_span(
-                primitive=issuer or "EDGEMAPDENSE",
-                mode="dense",
-                F=fn_label(F),
-                M=fn_label(M),
-                C=fn_label(C),
-            )
-        spec, spec_origin = self._compile_edge_spec(
-            "edge_map_dense", spec, edges, F, M, C, None
+        return self._dispatch(
+            "edge_map_dense", subset, edges, (F, M, C), label, spec, issuer
         )
-        if self.auto_analyze and self.analysis != "off":
-            classification = analyze_edge_map(
-                self, "edge_map_dense", subset, edges, F, M, C, None,
-                label=label, spec=spec,
-            )
-            if spec is not None:
-                validate_spec(self, "edge_map_dense", spec, classification)
-        use_col = (
-            spec is not None
-            and self._columnar
-            and _vec.edge_map_supported(self, edges, spec, "dense", F, C)
-        )
-        self._note_plan("edge_map_dense", label, spec_origin, spec, use_col)
-        if use_col:
-            return self._run_columnar("run_edge_map_dense", spec_origin, subset, spec)
-        self.metrics.note_backend("interp")
-        fw.annotate_span(backend="interp")
-        if self._dist is not None:
-            try:
-                d_out, d_updates = self._dist.run_edge_map_dense(
-                    self, subset, edges, F, M, C
-                )
-            except Exception:
-                fw.abort_superstep()
-                raise
-            fw.barrier(
-                d_updates,
-                None,
-                broadcast_all=not edges.within_graph,
-                frontier_out=len(d_out),
-            )
-            return VertexSubset(self, d_out)
-
-        candidates = edges.candidate_targets(self)
-        if candidates is None:
-            target_iter: Iterable[int] = range(self.graph.num_vertices)
-        else:
-            target_iter = sorted({int(v) for v in candidates})
-
-        out: List[int] = []
-        updates: Dict[int, Dict[str, Any]] = {}
-        try:
-            for vid in target_iter:
-                sources = edges.in_sources(self, vid)
-                if len(sources) == 0:
-                    continue
-                worker = self._owner(vid)
-                view = WorkingView(self, vid)
-                applied = False
-                for src in sources:
-                    src = int(src)
-                    fw.charge_ops(worker, 1)
-                    if C is not None and not C(view):
-                        break
-                    if src not in subset:
-                        continue
-                    src_view = VertexView(self, src)
-                    if F is None or F(src_view, view):
-                        result = M(src_view, view)
-                        if isinstance(result, WorkingView):
-                            view = result
-                        applied = True
-                if applied:
-                    out.append(vid)
-                    if view.staged:
-                        updates[vid] = dict(view.staged)
-        except Exception:
-            fw.abort_superstep()
-            raise
-        fw.barrier(
-            updates,
-            None,
-            broadcast_all=not edges.within_graph,
-            frontier_out=len(out),
-        )
-        return VertexSubset(self, out)
 
     def edge_map_sparse(
         self,
@@ -649,6 +556,7 @@ class FlashEngine:
         """The push kernel (Algorithm 6): active sources produce temporary
         target values, which are folded into the target's next state with
         the (associative, commutative) reduce function ``R``."""
+        issuer, self._issuer = self._issuer, None
         if M is None:
             raise FlashUsageError("edge_map_sparse requires a map function M")
         if R is None:
@@ -656,101 +564,9 @@ class FlashEngine:
                 "edge_map_sparse requires a reduce function R; use edge_map / "
                 "edge_map_dense for the pull mode that applies M sequentially"
             )
-        fw = self.flashware
-        issuer, self._issuer = self._issuer, None
-        edges.prepare(self)
-        fw.begin_superstep("edge_map_sparse", label, frontier_in=subset.size())
-        if fw.tracer.enabled:
-            fw.annotate_span(
-                primitive=issuer or "EDGEMAPSPARSE",
-                mode="sparse",
-                F=fn_label(F),
-                M=fn_label(M),
-                C=fn_label(C),
-                R=fn_label(R),
-            )
-        spec, spec_origin = self._compile_edge_spec(
-            "edge_map_sparse", spec, edges, F, M, C, R
+        return self._dispatch(
+            "edge_map_sparse", subset, edges, (F, M, C, R), label, spec, issuer
         )
-        if self.auto_analyze and self.analysis != "off":
-            classification = analyze_edge_map(
-                self, "edge_map_sparse", subset, edges, F, M, C, R,
-                label=label, spec=spec,
-            )
-            if spec is not None:
-                validate_spec(self, "edge_map_sparse", spec, classification)
-        use_col = (
-            spec is not None
-            and self._columnar
-            and spec.kind == "reduce"
-            and _vec.edge_map_supported(self, edges, spec, "sparse", F, C)
-        )
-        self._note_plan("edge_map_sparse", label, spec_origin, spec, use_col)
-        if use_col:
-            return self._run_columnar("run_edge_map_sparse", spec_origin, subset, spec)
-        self.metrics.note_backend("interp")
-        fw.annotate_span(backend="interp")
-        if self._dist is not None:
-            try:
-                d_out, d_updates, d_contrib = self._dist.run_edge_map_sparse(
-                    self, subset, edges, F, M, C, R
-                )
-            except Exception:
-                fw.abort_superstep()
-                raise
-            fw.barrier(
-                d_updates,
-                d_contrib,
-                broadcast_all=not edges.within_graph,
-                frontier_out=len(d_out),
-            )
-            return VertexSubset(self, d_out)
-
-        temps: Dict[int, List[Tuple[Dict[str, Any], int]]] = {}
-        out: Set[int] = set()
-        try:
-            for u in subset:
-                worker = self._owner(u)
-                src_view = VertexView(self, u)
-                for d in edges.out_targets(self, u):
-                    d = int(d)
-                    fw.charge_ops(worker, 1)
-                    if C is not None and not C(VertexView(self, d)):
-                        continue
-                    tgt_view = WorkingView(self, d)
-                    if F is not None and not F(src_view, tgt_view):
-                        continue
-                    result = M(src_view, tgt_view)
-                    if isinstance(result, WorkingView):
-                        tgt_view = result
-                    fw.charge_ops(worker, 1)
-                    temps.setdefault(d, []).append((dict(tgt_view.staged), worker))
-                    out.add(d)
-
-            updates: Dict[int, Dict[str, Any]] = {}
-            contributors: Dict[int, Set[int]] = {}
-            for d, temp_list in temps.items():
-                owner = self._owner(d)
-                acc = WorkingView(self, d)
-                for temp, part in temp_list:
-                    fw.charge_ops(owner, 1)
-                    temp_view = WorkingView(self, d, local=dict(temp))
-                    result = R(temp_view, acc)
-                    if isinstance(result, WorkingView):
-                        acc = result
-                if acc.staged:
-                    updates[d] = dict(acc.staged)
-                contributors[d] = {part for _, part in temp_list}
-        except Exception:
-            fw.abort_superstep()
-            raise
-        fw.barrier(
-            updates,
-            contributors,
-            broadcast_all=not edges.within_graph,
-            frontier_out=len(out),
-        )
-        return VertexSubset(self, out)
 
     # ------------------------------------------------------------------
     # Auxiliary operators
@@ -862,3 +678,116 @@ class FlashEngine:
             f"FlashEngine({self.graph!r}, workers={self.num_workers}, "
             f"properties={self.flashware.state.property_names})"
         )
+
+# ----------------------------------------------------------------------
+# Interpreted kernels: one Python call per user function.  Each returns
+# the ``(out, updates, contributors)`` its superstep's barrier commits.
+# ----------------------------------------------------------------------
+def _interp_vertex_map(engine, subset, F, M):
+    """VERTEXMAP (Algorithm 1)."""
+    fw = engine.flashware
+    out: List[int] = []
+    updates: Dict[int, Dict[str, Any]] = {}
+    for vid in subset:
+        worker = engine._owner(vid)
+        view = WorkingView(engine, vid)
+        if F is not None:
+            fw.charge_ops(worker, 1)
+            if not F(view):
+                continue
+        if M is not None:
+            fw.charge_ops(worker, 1)
+            result = M(view)
+            if isinstance(result, WorkingView):
+                view = result
+        out.append(vid)
+        if view.staged:
+            updates[vid] = dict(view.staged)
+    return out, updates, None
+
+
+def _interp_edge_map_dense(engine, subset, edges, F, M, C):
+    """EDGEMAPDENSE, the pull kernel (Algorithm 5)."""
+    fw = engine.flashware
+    candidates = edges.candidate_targets(engine)
+    if candidates is None:
+        target_iter: Iterable[int] = range(engine.graph.num_vertices)
+    else:
+        target_iter = sorted({int(v) for v in candidates})
+    out: List[int] = []
+    updates: Dict[int, Dict[str, Any]] = {}
+    for vid in target_iter:
+        sources = edges.in_sources(engine, vid)
+        if len(sources) == 0:
+            continue
+        worker = engine._owner(vid)
+        view = WorkingView(engine, vid)
+        applied = False
+        for src in sources:
+            src = int(src)
+            fw.charge_ops(worker, 1)
+            if C is not None and not C(view):
+                break
+            if src not in subset:
+                continue
+            src_view = VertexView(engine, src)
+            if F is None or F(src_view, view):
+                result = M(src_view, view)
+                if isinstance(result, WorkingView):
+                    view = result
+                applied = True
+        if applied:
+            out.append(vid)
+            if view.staged:
+                updates[vid] = dict(view.staged)
+    return out, updates, None
+
+
+def _interp_edge_map_sparse(engine, subset, edges, F, M, C, R):
+    """EDGEMAPSPARSE, the push kernel (Algorithm 6): temporary target
+    values are folded into each target's next state with ``R``."""
+    fw = engine.flashware
+    owner = engine._owner
+    temps: Dict[int, List[Tuple[Dict[str, Any], int]]] = {}
+    out: Set[int] = set()
+    for u in subset:
+        worker = owner(u)
+        src_view = VertexView(engine, u)
+        for d in edges.out_targets(engine, u):
+            d = int(d)
+            fw.charge_ops(worker, 1)
+            if C is not None and not C(VertexView(engine, d)):
+                continue
+            tgt_view = WorkingView(engine, d)
+            if F is not None and not F(src_view, tgt_view):
+                continue
+            result = M(src_view, tgt_view)
+            if isinstance(result, WorkingView):
+                tgt_view = result
+            fw.charge_ops(worker, 1)
+            temps.setdefault(d, []).append((dict(tgt_view.staged), worker))
+            out.add(d)
+
+    updates: Dict[int, Dict[str, Any]] = {}
+    contributors: Dict[int, Set[int]] = {}
+    for d, temp_list in temps.items():
+        part_owner = owner(d)
+        acc = WorkingView(engine, d)
+        for temp, part in temp_list:
+            fw.charge_ops(part_owner, 1)
+            temp_view = WorkingView(engine, d, local=dict(temp))
+            result = R(temp_view, acc)
+            if isinstance(result, WorkingView):
+                acc = result
+        if acc.staged:
+            updates[d] = dict(acc.staged)
+        contributors[d] = {part for _, part in temp_list}
+    return out, updates, contributors
+
+
+#: Per primitive: its trace name, EDGEMAP mode and interpreted kernel.
+_PRIMITIVES = {
+    "vertex_map": ("VERTEXMAP", None, _interp_vertex_map),
+    "edge_map_dense": ("EDGEMAPDENSE", "dense", _interp_edge_map_dense),
+    "edge_map_sparse": ("EDGEMAPSPARSE", "sparse", _interp_edge_map_sparse),
+}

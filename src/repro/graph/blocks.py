@@ -33,6 +33,7 @@ import json
 import math
 import mmap
 import os
+import resource
 import shutil
 import zlib
 from collections import OrderedDict
@@ -49,6 +50,14 @@ BLOCK_FORMAT_VERSION = 1
 
 #: Default memory budget for mapped blocks (bytes) when none is given.
 DEFAULT_BUDGET = 64 * 1024 * 1024
+
+
+def _map_limit() -> int:
+    """How many shard maps a store keeps open.  Each map holds a file
+    descriptor, so the maps get a quarter of the process's soft
+    descriptor limit."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    return 1 << 30 if soft == resource.RLIM_INFINITY else soft // 4
 
 
 def default_interval(num_vertices: int) -> int:
@@ -352,7 +361,9 @@ class BlockStore:
     so resident block memory — and therefore the page cache the process
     can pin — stays bounded.  A single block larger than the whole
     budget is still usable: the cache always keeps at least the block
-    being served.
+    being served.  Each mapped shard holds a file descriptor, so the
+    cache also evicts once its open maps would pass a quarter of the
+    process's soft ``RLIMIT_NOFILE``, whatever the byte budget.
     """
 
     def __init__(self, directory: PathLike, budget: Optional[int] = None):
@@ -389,6 +400,8 @@ class BlockStore:
         self.budget: int = DEFAULT_BUDGET if budget is None else max(1, int(budget))
         self._cache: "OrderedDict[Tuple[int, int], Block]" = OrderedDict()
         self._mapped_bytes = 0
+        #: Most blocks cached at once under the descriptor limit.
+        self._max_blocks = max(1, _map_limit() // (4 if self.weighted else 3))
         self._closed = False
         #: Lifetime counters (the leak test and benchmarks read these).
         self.blocks_loaded = 0
@@ -435,7 +448,9 @@ class BlockStore:
         self.blocks_loaded += 1
         if self.on_miss is not None:
             self.on_miss(meta)
-        while self._mapped_bytes > self.budget and len(self._cache) > 1:
+        while len(self._cache) > 1 and (
+            self._mapped_bytes > self.budget or len(self._cache) > self._max_blocks
+        ):
             _key, evicted = self._cache.popitem(last=False)
             self._mapped_bytes -= evicted.meta.bytes
             self.blocks_evicted += 1

@@ -646,7 +646,9 @@ class DistSession:
         for i, n in enumerate(ops):
             rec.worker_ops[i] += n
 
-    def run_vertex_map(self, engine, subset, F, M) -> Tuple[List[int], Dict[int, Dict[str, Any]]]:
+    def run_vertex_map(
+        self, engine, subset, F, M
+    ) -> Tuple[List[int], Dict[int, Dict[str, Any]], None]:
         owners = self.owners
         by_w: List[List[int]] = [[] for _ in range(self.nworkers)]
         for vid in subset:
@@ -665,11 +667,11 @@ class DistSession:
             self._merge_ops(engine, reply["ops"])
             self._step_add_cpu(w, reply.get("cpu_s"))
         out.sort()
-        return out, updates
+        return out, updates, None
 
     def run_edge_map_dense(
         self, engine, subset, edges: EdgeSet, F, M, C
-    ) -> Tuple[List[int], Dict[int, Dict[str, Any]]]:
+    ) -> Tuple[List[int], Dict[int, Dict[str, Any]], None]:
         owners = self.owners
         subset_ids = list(subset)
         if type(edges) is BaseEdges:
@@ -712,7 +714,7 @@ class DistSession:
             self._merge_ops(engine, reply["ops"])
             self._step_add_cpu(w, reply.get("cpu_s"))
         out.sort()
-        return out, updates
+        return out, updates, None
 
     def run_edge_map_sparse(
         self, engine, subset, edges: EdgeSet, F, M, C, R

@@ -3,6 +3,9 @@ block-paged :class:`BlockGraph` adjacency surface."""
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -240,6 +243,46 @@ class TestBudget:
         assert peak <= baseline + 3  # src, dst, pos of the one cached block
         store.close()
         assert open_fds() == baseline
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_open_maps_bounded_by_fd_limit(self, tmp_path):
+        """Under a byte budget that fits every block, the cache still
+        stops at a quarter of the soft descriptor limit: a scan of 6000
+        tiny blocks (18000 shards) completes in a process whose soft
+        limit is 256, and never holds more than 64 shard maps."""
+        directory = tmp_path / "fine"
+        build_block_store(random_graph(300, 3000, seed=1), directory, interval=1).close()
+        script = textwrap.dedent("""
+            import json, os, resource, sys
+            from repro.graph.blocks import BlockStore
+
+            _soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+            def open_fds():
+                return len(os.listdir("/proc/self/fd"))
+            store = BlockStore(sys.argv[1])
+            baseline = peak = open_fds()
+            for di in range(store.num_intervals):
+                for meta in store.row_metas(di):
+                    store.get(meta.di, meta.si)
+                    peak = max(peak, open_fds())
+            print(json.dumps({"baseline": baseline, "peak": peak,
+                              "loaded": store.blocks_loaded}))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                          env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(directory)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["loaded"] == 6000
+        assert out["peak"] - out["baseline"] <= 256 // 4
 
     def test_close_idempotent(self, graph, tmp_path):
         store = build_block_store(graph, tmp_path / "b", interval=8)

@@ -14,8 +14,10 @@ from repro.analysis.compile import (
     synthesize_vertex_spec,
 )
 from repro.analysis.compile.commplan import CommunicationPlan
+from repro.core.engine import FlashEngine
 from repro.graph.generators import random_graph
-from repro.suite import prepare_graph, run_app
+from repro.runtime.tracing import RingBufferSink, Tracer, superstep_spans
+from repro.suite import APPS, prepare_graph, run_app
 
 #: Apps the compiler newly moves onto the vectorized backend (no
 #: hand-written specs for the synthesized kernels before this PR).
@@ -42,11 +44,23 @@ def _signatures(metrics):
     return out
 
 
-def _run_pair(app, graph, **kwargs):
+#: The kernels whose hand specs the synthesizer reproduces bit for bit,
+#: so the algorithms no longer carry them — by app.
+SYNTHESIZED_KERNELS = {
+    "cc": ("cc:init", "cc:step"),
+    "bfs": ("bfs:init", "bfs:root"),
+    "kc": ("kc:init", "kc:peel", "kc_opt:init", "kc_opt:count", "kc_opt:violating"),
+    "bcc": ("bcc:bfs",),
+    "lpa": ("lpa:commit",),
+}
+
+
+def _run_pair(app, graph, backend="vectorized", analysis="compile", tracer=None,
+              **kwargs):
     interp = run_app("flash", app, prepare_graph(app, graph),
                      analysis="static", backend="interp", **kwargs)
     compiled = run_app("flash", app, prepare_graph(app, graph),
-                       analysis="compile", backend="vectorized", **kwargs)
+                       analysis=analysis, backend=backend, tracer=tracer, **kwargs)
     return interp, compiled
 
 
@@ -79,6 +93,28 @@ class TestFuzzedParity:
         assert interp.values == compiled.values
         assert _signatures(interp.metrics) == _signatures(compiled.metrics)
 
+    @pytest.mark.parametrize("backend", ["vectorized", "oocore"])
+    @pytest.mark.parametrize("app", sorted(SYNTHESIZED_KERNELS))
+    def test_synthesized_kernels_dispatch_columnar_under_static(self, app, backend):
+        # Synthesis fills missing specs in every analysis mode, not only
+        # compile: the kernels that lost their hand specs stay columnar.
+        graph = random_graph(26, 70, seed=7)
+        sink = RingBufferSink()
+        interp, col = _run_pair(app, graph, backend=backend, analysis="static",
+                                tracer=Tracer(sink), num_workers=4)
+        assert interp.values == col.values
+        assert _signatures(interp.metrics) == _signatures(col.metrics)
+        seen = {label: set() for label in SYNTHESIZED_KERNELS[app]}
+        for span in superstep_spans(sink.spans()):
+            label = span.args.get("label")
+            # explain_edge refuses bcc:bfs's pull form ("dense C reads
+            # the written property"), so only its push steps are columnar.
+            if label == "bcc:bfs" and span.args["mode"] == "dense":
+                continue
+            if label in seen:
+                seen[label].add(span.args["backend"])
+        assert seen == {label: {backend} for label in seen}
+
     def test_worker_count_fuzz(self):
         graph = random_graph(30, 90, seed=13)
         for workers in (2, 3, 5):
@@ -107,6 +143,20 @@ class TestSynthesizeVertex:
 
         spec = synthesize_vertex_spec(f, None)
         assert spec is not None and spec.map is None
+
+    def test_closures_over_different_constants_get_their_own_spec(self):
+        # One code object, two closure values: the spec synthesized (and
+        # cached) for the first must not serve the second.
+        eng = FlashEngine(random_graph(20, 40, seed=1), num_workers=2,
+                          backend="vectorized")
+        picked = []
+        for r in (3, 7):
+            def pick(v):
+                return v.id == r
+
+            picked.append(list(eng.vertex_map(eng.V, pick, label="pick")))
+        assert picked == [[3], [7]]
+        assert eng.metrics.backend_choices == {"vectorized": 2}
 
     def test_refuses_loops(self):
         def m(v):
@@ -319,10 +369,13 @@ class TestPlanArtifact:
 
 
 class TestCrossValidate:
-    def test_bfs_swaps_hand_specs_and_stays_identical(self):
-        result = cross_validate("bfs")
+    @pytest.mark.parametrize("app", APPS)
+    def test_no_reproducible_hand_spec_remains(self, app):
+        # Forcing synthesis swaps no kernel: every hand spec the
+        # synthesizer could reproduce has been deleted.
+        result = cross_validate(app)
         assert result.ok, result.describe()
-        assert result.swapped, "forcing synthesis should swap hand specs"
+        assert result.swapped == []
 
     @pytest.mark.parametrize("app", ["mis", "gc"])
     def test_newly_covered_identical(self, app):

@@ -12,6 +12,7 @@ from repro import load_dataset, random_graph
 from repro.__main__ import main
 from repro.algorithms import bcc, bfs
 from repro.core.engine import FlashEngine
+from repro.errors import FlashUsageError
 from repro.runtime.tracing import (
     ChromeTraceSink,
     JsonlSink,
@@ -234,6 +235,24 @@ class TestInstrumentation:
         assert "vectorized" in backends
         switches = [s for s in spans if s.name == "backend.switch"]
         assert switches and switches[0].args["to"] == "vectorized"
+
+    def test_failed_edge_map_leaves_no_stale_attribution(self, graph):
+        """An adaptive EDGEMAP that fails its argument check must not
+        pass its attribution on to the next direct pull kernel."""
+        def touch(s, d):
+            d.x = s.x
+            return d
+
+        def run():
+            eng = FlashEngine(graph, num_workers=3)
+            eng.add_property("x", 0)
+            with pytest.raises(FlashUsageError):
+                eng.edge_map(eng.V, eng.E, M=None)
+            eng.edge_map_dense(eng.V, eng.E, M=touch)
+
+        _, spans = _trace_run(run)
+        (step,) = superstep_spans(spans)
+        assert step.args["primitive"] == "EDGEMAPDENSE"
 
     def test_dsu_union_instants(self, graph):
         _, spans = _trace_run(bcc, graph, num_workers=3)
